@@ -14,16 +14,12 @@ from .engine import (
 from .model import (
     DEFAULT_HYPERPARAMETERS,
     Hyperparameters,
-    OutcomeDistribution,
-    ScoreCoefficients,
-    ScoreMoments,
     elo_to_latent,
     elo_winning_expectancy,
     latent_to_elo,
     outcome_probabilities,
     probability_derivatives,
     score_coefficients,
-    score_moments,
 )
 from .store import GameRecord, RatingSnapshot, initialize_priors, parse_games
 

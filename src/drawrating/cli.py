@@ -39,13 +39,15 @@ def _add_hyperparameter_flags(parser):
 
 def _add_config_flags(parser):
     group = parser.add_argument_group("engine configuration")
-    group.add_argument("--sigma-cap", type=float, default=0.691,
+    defaults = EngineConfig()
+    group.add_argument("--sigma-cap", type=float, default=defaults.sigma_cap,
                        help="rating-deviation growth cap (latent units)")
     group.add_argument("--no-draw-override", action="store_true",
+                       default=not defaults.draw_score_override,
                        help="use the model's own draw score instead of 1/2")
-    group.add_argument("--default-prior-elo", type=float, default=1800.0)
-    group.add_argument("--default-prior-sd-elo", type=float, default=250.0)
-    group.add_argument("--rated-prior-sd-elo", type=float, default=100.0)
+    group.add_argument("--default-prior-elo", type=float, default=defaults.default_prior_elo)
+    group.add_argument("--default-prior-sd-elo", type=float, default=defaults.default_prior_sd_elo)
+    group.add_argument("--rated-prior-sd-elo", type=float, default=defaults.rated_prior_sd_elo)
 
 
 def _hyperparameters(args) -> Hyperparameters:
@@ -60,6 +62,11 @@ def _config(args) -> EngineConfig:
         default_prior_sd_elo=args.default_prior_sd_elo,
         rated_prior_sd_elo=args.rated_prior_sd_elo,
     )
+
+
+def _check_order(order, lowest):
+    if not lowest <= order <= oracle.MAX_ORDER:
+        raise ValueError(f"--order must be in {lowest}..{oracle.MAX_ORDER}, got {order}")
 
 
 def _warn_rejects(rejects, what):
@@ -87,7 +94,6 @@ def cmd_rate(args) -> int:
         )
 
     result = run_period(state, games, h, cfg)
-    _warn_rejects(result.rejected, "games")
     for u in result.updates:
         played[u.player_id] = played.get(u.player_id, 0) + u.games_count
 
@@ -124,6 +130,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_order(args.order, 1)
     h = _hyperparameters(args)
     cfg = _config(args)
     snapshot = store.read_snapshot_file(args.snapshot)
@@ -210,6 +217,7 @@ def _read_ratings(path):
 
 
 def cmd_validate(args) -> int:
+    _check_order(args.order, 2)
     h = _hyperparameters(args)
     cfg = _config(args)
     rng = np.random.default_rng(args.seed)

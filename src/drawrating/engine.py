@@ -113,30 +113,18 @@ def _delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_ove
     delta terms; p_observed keeps the uncancelled two-node sum.
     """
     focal_mu, opp_mu, opp_sigma, outcome, color = np.broadcast_arrays(
-        np.asarray(focal_mu, dtype=float),
-        np.asarray(opp_mu, dtype=float),
-        np.asarray(opp_sigma, dtype=float),
-        np.asarray(outcome, dtype=float),
-        np.asarray(color, dtype=float),
+        *(np.atleast_1d(np.asarray(x, dtype=float))
+          for x in (focal_mu, opp_mu, opp_sigma, outcome, color))
     )
-    a = model.score_coefficient_array(color, h, draw_score_override)  # (n, 3)
-    idx = np.searchsorted([0.0, 0.5, 1.0], outcome)  # loss=0, draw=1, win=2
-    idx = np.array([2, 1, 0])[idx]  # -> (win, draw, loss) positions
-    rows = np.arange(outcome.shape[0] if outcome.ndim else 1)
-    a_y = a.reshape(-1, 3)[rows, idx.reshape(-1)]
-
-    p_obs = np.zeros_like(np.atleast_1d(focal_mu))
-    num1 = np.zeros_like(p_obs)
-    num2 = np.zeros_like(p_obs)
+    a = model.score_coefficient_array(color, h, draw_score_override)
+    observed = (2.0 - 2.0 * outcome).astype(int)[:, None]  # 1, 0.5, 0 -> 0, 1, 2
+    p_obs = num1 = num2 = 0.0
     for node in (-1.0, 1.0):
         p = model.probability_array(focal_mu, opp_mu + node * opp_sigma, color, h)
-        p = p.reshape(-1, 3)
-        s1 = np.einsum("ij,ij->i", p, a.reshape(-1, 3))
-        s2 = np.einsum("ij,ij->i", p, a.reshape(-1, 3) ** 2)
-        p_y = p[rows, idx.reshape(-1)]
-        p_obs += p_y
-        num1 += p_y * (a_y - s1)
-        num2 += p_y * (a_y**2 - s2 - 2.0 * s1 * (a_y - s1))
+        p_y, d1, d2 = model.derivative_arrays(p, a, observed)
+        p_obs = p_obs + p_y[:, 0]
+        num1 = num1 + d1[:, 0]
+        num2 = num2 + d2[:, 0]
     # p_obs can underflow to exactly 0 for pathological hyperparameters;
     # the resulting NaNs are caught by the precision check downstream
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -168,21 +156,33 @@ def game_term(
     return GameTerm(float(d1[0]), float(d2[0]), float(p[0]))
 
 
+def _newton_step(player_ids, mu, sigma, sum1, sum2):
+    """One Newton-Raphson step at the prior mean: (posterior mean, posterior sd).
+
+    Takes floats or matching arrays of summed game terms; ``player_ids``
+    lists the players in the same order, for the error message.
+    """
+    precision = sigma**-2 - sum2
+    bad = np.atleast_1d(~(np.isfinite(precision) & (precision > 0)))
+    if bad.any():
+        named = [pid for pid, b in zip(player_ids, bad) if b]
+        raise DegenerateUpdateError(
+            f"non-positive posterior precision "
+            f"{np.atleast_1d(precision)[bad].tolist()} for {named}"
+        )
+    return mu + sum1 / precision, precision**-0.5
+
+
 def period_update(focal: PlayerBelief, terms: list[GameTerm]) -> PeriodUpdate:
     """One-step Newton-Raphson posterior from a player's game terms."""
     if not terms:
         return PeriodUpdate(
             focal.player_id, focal.mu, focal.sigma, focal.mu, focal.sigma, 0
         )
-    sum1 = math.fsum(t.delta1 for t in terms)
-    sum2 = math.fsum(t.delta2 for t in terms)
-    precision = focal.sigma**-2 - sum2
-    if precision <= 0 or not math.isfinite(precision):
-        raise DegenerateUpdateError(
-            f"non-positive posterior precision {precision} for {focal.player_id!r}"
-        )
-    mu_post = focal.mu + sum1 / precision
-    sigma_post = precision**-0.5
+    mu_post, sigma_post = _newton_step(
+        [focal.player_id], focal.mu, focal.sigma,
+        math.fsum(t.delta1 for t in terms), math.fsum(t.delta2 for t in terms),
+    )
     return PeriodUpdate(
         focal.player_id, focal.mu, focal.sigma, mu_post, sigma_post, len(terms)
     )
@@ -258,13 +258,10 @@ def run_period(
         sum1 = np.bincount(focal_idx, weights=d1, minlength=len(ids))
         sum2 = np.bincount(focal_idx, weights=d2, minlength=len(ids))
 
-    precision = sigma**-2 - sum2
-    if np.any(precision <= 0) or not np.all(np.isfinite(precision)):
-        bad = [ids[k] for k in np.nonzero(~(precision > 0))[0]]
-        raise DegenerateUpdateError(f"non-positive posterior precision for {bad}")
+    mu_step, sigma_step = _newton_step(ids, mu, sigma, sum1, sum2)
     active = counts > 0
-    mu_post = np.where(active, mu + sum1 / precision, mu)
-    sigma_post = np.where(active, precision**-0.5, sigma)
+    mu_post = np.where(active, mu_step, mu)
+    sigma_post = np.where(active, sigma_step, sigma)
 
     updates = [
         PeriodUpdate(

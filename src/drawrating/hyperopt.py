@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from . import engine, model
+from . import engine, model, oracle
 from .engine import EngineConfig, PlayerBelief
 from .model import Hyperparameters
 
@@ -76,8 +76,8 @@ def predictive_probability_array(
     Integrates the outcome model over both players' independent normal
     beliefs using an order^2 tensor grid; broadcasts over leading axes.
     """
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    weights = weights / math.sqrt(math.pi)
+    rule = oracle.gh_rule(order)
+    nodes, weights = rule.nodes, rule.weights / math.sqrt(math.pi)
     white_mu = np.asarray(white_mu, dtype=float)[..., None, None]
     white_sigma = np.asarray(white_sigma, dtype=float)[..., None, None]
     black_mu = np.asarray(black_mu, dtype=float)[..., None, None]
@@ -235,11 +235,22 @@ def optimize(
             trace.record(h, value)
         return -value
 
-    results = []
-    for start in starts:
+    def search(start):
+        """Nelder-Mead from one start; returns (value at the start, result)."""
         x0 = _to_vector(start, fix_alpha)
+        start_value = -negative(x0)
+        calls = 0
+
+        def reuse_start(v):
+            # Nelder-Mead's first call is at x0, whose value is already known
+            nonlocal calls
+            calls += 1
+            if calls == 1 and np.array_equal(v, x0):
+                return -start_value
+            return negative(v)
+
         res = minimize(
-            negative,
+            reuse_start,
             x0,
             method="Nelder-Mead",
             options={
@@ -248,19 +259,19 @@ def optimize(
                 "maxfev": MAX_EVALUATIONS,
             },
         )
-        results.append(
-            OptimizationStart(start, _from_vector(res.x, fix_alpha), -res.fun)
+        return start_value, OptimizationStart(
+            start, _from_vector(res.x, fix_alpha), -res.fun
         )
 
+    start_values, results = zip(*(search(start) for start in starts))
     best = max(results, key=lambda r: r.objective)
-    initial_best = max(objective_fn(s) for s in starts)
-    converged = best.objective > initial_best
-    if not converged:
-        # no start improved on its initial point; report the best initial
-        best_start = max(starts, key=objective_fn)
+    initial_best = max(start_values)
+    if best.objective > initial_best:
         return OptimizationResult(
-            best_start, initial_best, results, evaluations, converged=False
+            best.converged, best.objective, list(results), evaluations, converged=True
         )
+    # no start improved on its initial point; report the best initial
+    best_start = starts[start_values.index(initial_best)]
     return OptimizationResult(
-        best.converged, best.objective, results, evaluations, converged=True
+        best_start, initial_best, list(results), evaluations, converged=False
     )

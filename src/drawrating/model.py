@@ -55,37 +55,6 @@ class Hyperparameters:
 DEFAULT_HYPERPARAMETERS = Hyperparameters()
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    p_win: float
-    p_draw: float
-    p_loss: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_win, self.p_draw, self.p_loss])
-
-    def probability(self, outcome: float) -> float:
-        return self.as_array()[_OUTCOME_INDEX[float(outcome)]]
-
-
-@dataclass(frozen=True)
-class ScoreCoefficients:
-    """Outcome-specific scores multiplying the focal strength in the exponents."""
-
-    a_win: float
-    a_draw: float
-    a_loss: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a_win, self.a_draw, self.a_loss])
-
-
-@dataclass(frozen=True)
-class ScoreMoments:
-    s1: float
-    s2: float
-
-
 def outcome_index(outcome: float) -> int:
     """Position of an outcome in (win, draw, loss) triples."""
     try:
@@ -131,13 +100,12 @@ def probability_array(theta_i, theta_j, color, h: Hyperparameters) -> np.ndarray
 
 def outcome_probabilities(
     theta_i: float, theta_j: float, color: int, h: Hyperparameters
-) -> OutcomeDistribution:
-    """Three-outcome distribution for a single game, from player i's side."""
+) -> np.ndarray:
+    """(p_win, p_draw, p_loss) for a single game, from player i's side."""
     if not (math.isfinite(theta_i) and math.isfinite(theta_j)):
         raise ValueError(f"strengths must be finite, got {theta_i}, {theta_j}")
     _check_color(color)
-    p = probability_array(theta_i, theta_j, color, h)
-    return OutcomeDistribution(float(p[0]), float(p[1]), float(p[2]))
+    return probability_array(theta_i, theta_j, color, h)
 
 
 def score_coefficient_array(color, h: Hyperparameters, draw_score_override: bool) -> np.ndarray:
@@ -152,8 +120,8 @@ def score_coefficient_array(color, h: Hyperparameters, draw_score_override: bool
 
 def score_coefficients(
     color: int, h: Hyperparameters, draw_score_override: bool = True
-) -> ScoreCoefficients:
-    """Outcome scores for one game.
+) -> np.ndarray:
+    """Outcome scores (a_win, a_draw, a_loss) for one game.
 
     With the override enabled a draw always scores exactly 1/2, so a draw
     between equal-strength players is treated as fully expected.  Disabled,
@@ -166,15 +134,23 @@ def score_coefficients(
     order, scales as beta1 * sigma**4.
     """
     _check_color(color)
-    a = score_coefficient_array(color, h, draw_score_override)
-    return ScoreCoefficients(float(a[0]), float(a[1]), float(a[2]))
+    return score_coefficient_array(color, h, draw_score_override)
 
 
-def score_moments(dist: OutcomeDistribution, coeffs: ScoreCoefficients) -> ScoreMoments:
-    """Expected score and expected squared score under a distribution."""
-    p = dist.as_array()
-    a = coeffs.as_array()
-    return ScoreMoments(float(p @ a), float(p @ (a * a)))
+def derivative_arrays(p, a, columns):
+    """Selected outcome probabilities and their first two theta_i-derivatives.
+
+    ``p`` and ``a`` hold probabilities and score coefficients, (win, draw,
+    loss) on the last axis; ``columns`` picks entries along that axis as in
+    ``np.take_along_axis``.  With s1 = sum(p a) and s2 = sum(p a^2) the
+    derivatives are p (a - s1) and p (a^2 - s2 - 2 s1 (a - s1)); only the
+    selected columns' terms are formed.
+    """
+    s1 = np.einsum("...j,...j->...", p, a)[..., None]
+    s2 = np.einsum("...j,...j->...", p, a * a)[..., None]
+    p_c = np.take_along_axis(p, columns, axis=-1)
+    a_c = np.take_along_axis(a, columns, axis=-1)
+    return p_c, p_c * (a_c - s1), p_c * (a_c * a_c - s2 - 2.0 * s1 * (a_c - s1))
 
 
 def probability_derivatives(
@@ -193,12 +169,11 @@ def probability_derivatives(
     if not (math.isfinite(theta_i) and math.isfinite(theta_j)):
         raise ValueError(f"strengths must be finite, got {theta_i}, {theta_j}")
     _check_color(color)
-    p = probability_array(theta_i, theta_j, color, h)
-    a = score_coefficient_array(color, h, draw_score_override)
-    s1 = float(p @ a)
-    s2 = float(p @ (a * a))
-    first = p * (a - s1)
-    second = p * (a * a - s2 - 2.0 * s1 * (a - s1))
+    _, first, second = derivative_arrays(
+        probability_array(theta_i, theta_j, color, h),
+        score_coefficient_array(color, h, draw_score_override),
+        np.arange(3),
+    )
     return tuple(float(v) for v in first), tuple(float(v) for v in second)
 
 

@@ -9,6 +9,7 @@ production update path.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -41,15 +42,18 @@ class DegenerateEvidenceError(ArithmeticError):
     """The realized outcome has zero probability at every quadrature node."""
 
 
+@functools.cache
 def gh_rule(order: int) -> QuadratureRule:
-    """Gauss-Hermite rule of the given order (1..50).
+    """Gauss-Hermite rule of the given order (1..50), computed once per order.
 
     Nodes and weights come from the eigen-decomposition of the Jacobi matrix
-    (numpy's hermgauss), so any supported order is available without tables.
+    (numpy's Hermite module), so any supported order is available without tables.
+    The cached arrays are shared by every caller, so they are read-only.
     """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(order, nodes, weights)
 
 

@@ -54,7 +54,7 @@ def test_criterion_1_calibration_constants(report):
         (DEPLOYED, 5.756, 0.800),
     ]
     observed = [
-        model.outcome_probabilities(theta, theta, 1, h).p_draw
+        model.outcome_probabilities(theta, theta, 1, h)[1]
         for h, theta, _ in probes
     ]
     ok = all(
@@ -112,7 +112,7 @@ def test_criterion_3_derivative_correctness(report):
                 dist = model.outcome_probabilities(
                     theta, tj + node * sig_j, color, h
                 )
-                p += dist.probability(y)
+                p += dist[model.outcome_index(y)]
             return math.log(p)
 
         cfg = EngineConfig(draw_score_override=False)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from drawrating import cli, model, store
+from drawrating import cli, model, oracle, store
+from drawrating.engine import EngineConfig
 
 
 def run(argv):
@@ -104,6 +105,23 @@ class TestPredict:
                     "--fixtures", fixtures]) == cli.EXIT_INPUT_ERROR
 
 
+    @pytest.mark.parametrize("order", [0, oracle.MAX_ORDER + 1])
+    def test_order_out_of_range_writes_nothing(self, league_files, tmp_path, capsys, order):
+        _, _, per_period = league_files
+        snap = tmp_path / "s.snapshot"
+        run(["rate", "--games", per_period[1], "--out-snapshot", snap,
+             "--report", tmp_path / "r.csv"])
+        fixtures = tmp_path / "fixtures.csv"
+        fixtures.write_text("white,black\np00000,p00001\n")
+        out_path = tmp_path / "pred.csv"
+        capsys.readouterr()
+        assert run(["predict", "--snapshot", snap, "--fixtures", fixtures,
+                    "--out", out_path, "--order", order]) == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: --order must be in 1..") and err.count("\n") == 1
+        assert not out_path.exists()
+
+
 class TestOptimize:
     def test_writes_parameter_table_and_trace(self, league_files, tmp_path):
         _, games_path, _ = league_files
@@ -142,6 +160,15 @@ class TestValidate:
     def test_stdout_default(self, capsys):
         assert run(["validate", "--games", 20, "--seed", 6]) == cli.EXIT_OK
         assert capsys.readouterr().out.startswith("subset,n,")
+
+    @pytest.mark.parametrize("order", [1, oracle.MAX_ORDER + 1])
+    def test_order_out_of_range_writes_nothing(self, tmp_path, capsys, order):
+        out = tmp_path / "validation.csv"
+        assert run(["validate", "--games", 20, "--seed", 6, "--out", out,
+                    "--order", order]) == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: --order must be in 2..") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -186,6 +213,19 @@ class TestDeterminism:
                 p.read_bytes() for p in (games, snap, report, pred, valid)
             ))
         assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["rate", "predict", "optimize", "validate"])
+def test_config_flag_defaults_are_engine_defaults(command):
+    """With no engine flags given, every subcommand runs EngineConfig()."""
+    required = {
+        "rate": ["--games", "g.csv", "--out-snapshot", "s"],
+        "predict": ["--snapshot", "s", "--fixtures", "f.csv"],
+        "optimize": ["--games", "g.csv", "--train-until", "1"],
+        "validate": [],
+    }[command]
+    args = cli.build_parser().parse_args([command] + required)
+    assert cli._config(args) == EngineConfig()
 
 
 class TestExitCodes:

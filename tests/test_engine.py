@@ -105,7 +105,7 @@ class TestGameTerm:
             p = 0.0
             for node in (-1.0, 1.0):
                 dist = model.outcome_probabilities(theta, mu_j + node * sig_j, color, h)
-                p += dist.probability(y)
+                p += dist[model.outcome_index(y)]
             return math.log(p)
 
         eps1, eps2 = 1e-5, 1e-4

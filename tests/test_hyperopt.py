@@ -259,6 +259,42 @@ class TestOptimize:
         assert text.startswith("evaluation,alpha0,alpha1,beta0,beta1,tau,objective\n")
         assert len(text.strip().split("\n")) == result.evaluations + 1
 
+    def test_every_objective_call_is_counted_and_traced(self):
+        """Each start's value comes from one counted, traced evaluation;
+        nothing is evaluated after the search."""
+        calls = []
+        objective = self.quadratic_objective(Hyperparameters(beta0=0.8, beta1=0.25, tau=0.3))
+
+        def counted(h):
+            calls.append(h)
+            return objective(h)
+
+        trace = hyperopt.TraceRecorder()
+        result = hyperopt.optimize(
+            [], CFG, train_until=1,
+            starts=[Hyperparameters(beta0=0.2, beta1=0.6, tau=0.15),
+                    Hyperparameters(beta0=1.5, beta1=0.1, tau=0.5)],
+            objective_fn=counted, trace=trace,
+        )
+        assert len(calls) == result.evaluations == len(trace.rows)
+
+    def test_degenerate_start_scores_minus_infinity(self):
+        start = Hyperparameters(beta0=0.2, beta1=0.6, tau=0.15)
+        base = self.quadratic_objective(Hyperparameters(beta0=0.8, beta1=0.25, tau=0.3))
+
+        def fragile(h):
+            if h == start:
+                raise engine.DegenerateUpdateError("synthetic blow-up at the start")
+            return base(h)
+
+        trace = hyperopt.TraceRecorder()
+        result = hyperopt.optimize(
+            [], CFG, train_until=1, starts=[start], objective_fn=fragile, trace=trace,
+        )
+        assert trace.rows[0][1:] == (start, -math.inf)
+        assert result.converged
+        assert math.isfinite(result.objective)
+
     def test_non_improving_search_flags_non_convergence(self):
         result = hyperopt.optimize(
             [], CFG, train_until=1,

@@ -62,36 +62,35 @@ class TestOutcomeProbabilities:
     @pytest.mark.parametrize("args,expected", FROZEN)
     def test_frozen_values(self, args, expected):
         dist = model.outcome_probabilities(*args)
-        assert dist.p_win == pytest.approx(expected[0], abs=1e-14)
-        assert dist.p_draw == pytest.approx(expected[1], abs=1e-14)
-        assert dist.p_loss == pytest.approx(expected[2], abs=1e-14)
+        assert dist[0] == pytest.approx(expected[0], abs=1e-14)
+        assert dist[1] == pytest.approx(expected[1], abs=1e-14)
+        assert dist[2] == pytest.approx(expected[2], abs=1e-14)
 
     @given(finite_theta, finite_theta, colors, hyper)
     def test_normalization(self, ti, tj, color, h):
-        dist = model.outcome_probabilities(ti, tj, color, h)
-        p = dist.as_array()
+        p = model.outcome_probabilities(ti, tj, color, h)
         assert np.all(p >= 0) and np.all(p <= 1)
         assert math.fsum(p) == pytest.approx(1.0, abs=1e-12)
 
     @given(finite_theta, finite_theta, colors, hyper)
     def test_color_antisymmetry(self, ti, tj, color, h):
         """Swapping players and colors reverses the probability triple."""
-        mine = model.outcome_probabilities(ti, tj, color, h).as_array()
-        theirs = model.outcome_probabilities(tj, ti, -color, h).as_array()
+        mine = model.outcome_probabilities(ti, tj, color, h)
+        theirs = model.outcome_probabilities(tj, ti, -color, h)
         np.testing.assert_allclose(mine, theirs[::-1], rtol=0, atol=1e-14)
 
     def test_draw_probability_rises_with_shared_strength(self):
         h = Hyperparameters()
         draws = [
-            model.outcome_probabilities(t, t, 1, h).p_draw
+            model.outcome_probabilities(t, t, 1, h)[1]
             for t in np.linspace(-2.0, 6.0, 30)
         ]
         assert all(b > a for a, b in zip(draws, draws[1:]))
 
     def test_extreme_strengths_stay_finite(self):
         dist = model.outcome_probabilities(500.0, -500.0, 1, Hyperparameters())
-        assert dist.p_win == pytest.approx(1.0, abs=1e-12)
-        assert math.isfinite(dist.p_draw) and math.isfinite(dist.p_loss)
+        assert dist[0] == pytest.approx(1.0, abs=1e-12)
+        assert math.isfinite(dist[1]) and math.isfinite(dist[2])
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -127,38 +126,26 @@ class TestScoreCoefficients:
     def test_classical_reduction(self):
         """With no white advantage the scores are the classical 1, 1/2, 0."""
         a = model.score_coefficients(1, Hyperparameters(), draw_score_override=True)
-        assert (a.a_win, a.a_draw, a.a_loss) == (1.0, 0.5, 0.0)
+        assert (a[0], a[1], a[2]) == (1.0, 0.5, 0.0)
 
     def test_override_off_uses_model_draw_score(self):
         h = Hyperparameters(beta1=0.17037)
         a = model.score_coefficients(1, h, draw_score_override=False)
-        assert a.a_draw == pytest.approx((1.0 + h.beta1) / 2.0, abs=1e-15)
+        assert a[1] == pytest.approx((1.0 + h.beta1) / 2.0, abs=1e-15)
 
     def test_alpha_shifts_win_and_loss(self):
         h = Hyperparameters(alpha1=0.4)
         white = model.score_coefficients(1, h)
         black = model.score_coefficients(-1, h)
-        assert white.a_win == pytest.approx(1.0 + 0.4 / 8.0)
-        assert white.a_loss == pytest.approx(-0.4 / 8.0)
-        assert black.a_win == pytest.approx(1.0 - 0.4 / 8.0)
-        assert black.a_loss == pytest.approx(0.4 / 8.0)
+        assert white[0] == pytest.approx(1.0 + 0.4 / 8.0)
+        assert white[2] == pytest.approx(-0.4 / 8.0)
+        assert black[0] == pytest.approx(1.0 - 0.4 / 8.0)
+        assert black[2] == pytest.approx(0.4 / 8.0)
 
     @given(colors, hyper)
     def test_win_loss_scores_sum_to_one(self, color, h):
         a = model.score_coefficients(color, h)
-        assert a.a_win + a.a_loss == pytest.approx(1.0, abs=1e-15)
-
-
-class TestScoreMoments:
-    @given(finite_theta, finite_theta, colors, hyper)
-    def test_moments_match_direct_sums(self, ti, tj, color, h):
-        dist = model.outcome_probabilities(ti, tj, color, h)
-        a = model.score_coefficients(color, h)
-        m = model.score_moments(dist, a)
-        p, av = dist.as_array(), a.as_array()
-        assert m.s1 == pytest.approx(float((p * av).sum()), abs=1e-15)
-        assert m.s2 == pytest.approx(float((p * av * av).sum()), abs=1e-15)
-        assert m.s2 >= m.s1**2 - 1e-12  # Jensen
+        assert a[0] + a[2] == pytest.approx(1.0, abs=1e-15)
 
 
 def _fd_probabilities(ti, tj, color, h, eps1=1e-5, eps2=1e-4):
@@ -195,6 +182,20 @@ class TestProbabilityDerivatives:
         first, second = model.probability_derivatives(ti, tj, color, h)
         assert math.fsum(first) == pytest.approx(0.0, abs=1e-12)
         assert math.fsum(second) == pytest.approx(0.0, abs=1e-12)
+
+
+    def test_kernel_selects_columns_before_forming_terms(self):
+        """Per-row columns give exactly the entries of the full derivative arrays."""
+        h = Hyperparameters(alpha0=0.1, alpha1=0.05, beta1=0.3)
+        ti, tj = np.linspace(-2.0, 6.0, 7), np.linspace(5.0, -1.0, 7)
+        color = np.array([1, -1, 1, 1, -1, -1, 1])
+        p = model.probability_array(ti, tj, color, h)
+        a = model.score_coefficient_array(color, h, False)
+        full = model.derivative_arrays(p, a, np.broadcast_to(np.arange(3), p.shape))
+        columns = np.array([0, 1, 2, 2, 1, 0, 1])[:, None]
+        picked = model.derivative_arrays(p, a, columns)
+        for whole, part in zip(full, picked):
+            np.testing.assert_array_equal(np.take_along_axis(whole, columns, -1), part)
 
 
 class TestEloConversions:

@@ -41,6 +41,14 @@ class TestGHRule:
                 expected = math.gamma((k + 1) / 2.0)
             assert got == pytest.approx(expected, abs=1e-10)
 
+    def test_rule_is_shared_and_read_only(self):
+        rule = oracle.gh_rule(9)
+        assert oracle.gh_rule(9) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             oracle.gh_rule(0)
