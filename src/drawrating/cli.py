@@ -177,7 +177,9 @@ def cmd_optimize(args) -> int:
     _warn_rejects(rejects, "games")
     initial_state = None
     if args.ratings:
-        initial_state = store.initialize_priors(_read_ratings(args.ratings), cfg)
+        ratings, rejects = store.read_ratings(args.ratings)
+        _warn_rejects(rejects, "ratings")
+        initial_state = store.initialize_priors(ratings, cfg)
 
     trace = hyperopt.TraceRecorder()
     result = hyperopt.optimize(
@@ -204,16 +206,6 @@ def cmd_optimize(args) -> int:
         if out:
             out.close()
     return EXIT_OK if result.converged else EXIT_INPUT_ERROR
-
-
-def _read_ratings(path):
-    ratings = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or (line_no == 1 and row[0].strip().lower() == "player"):
-                continue
-            ratings.append((row[0].strip(), float(row[1])))
-    return ratings
 
 
 def cmd_validate(args) -> int:

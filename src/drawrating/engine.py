@@ -6,6 +6,11 @@ Newton-Raphson step at the focal player's prior mean.  Updates read only the
 period's *prior* snapshot, so all players can be processed independently;
 afterwards the innovation variance is added (subject to a growth cap) to
 form the next period's priors.
+
+Games are validated and compiled once into player-index arrays
+(``compile_history``); ``filter_period`` folds one compiled period into
+belief arrays in place.  ``run_period`` is the dict-in, dict-out form of the
+same step.
 """
 
 from __future__ import annotations
@@ -207,6 +212,134 @@ def _validate_game(game) -> str | None:
     return None
 
 
+def games_by_period(games: list) -> dict:
+    """Group game records into {period: [games]} preserving input order."""
+    grouped = {}
+    for g in games:
+        grouped.setdefault(g.period, []).append(g)
+    return grouped
+
+
+@dataclass(frozen=True)
+class CompiledPeriod:
+    """One period's valid games as player-index arrays.
+
+    ``white``, ``black`` and ``observed`` (outcome index from white's side)
+    keep the input order, for scoring.  The directed terms ``focal``,
+    ``opp``, ``outcome`` and ``color``, two per game, are sorted by
+    (focal, opp, outcome, color), so every sum over them runs in a fixed
+    order whatever the input order.
+    """
+
+    white: np.ndarray
+    black: np.ndarray
+    observed: np.ndarray
+    focal: np.ndarray
+    opp: np.ndarray
+    outcome: np.ndarray
+    color: np.ndarray
+
+
+@dataclass(frozen=True)
+class CompiledHistory:
+    """Valid games of periods 1..len(periods) over players in sorted id order.
+
+    ``mu``, ``sigma`` and ``tracked`` are the starting beliefs: players of
+    the initial state are tracked; every other player starts at the default
+    prior of ``cfg`` and is tracked from the period of their first valid
+    game.  Callers copy the starting arrays before filtering.
+    """
+
+    ids: np.ndarray  # object array
+    mu: np.ndarray
+    sigma: np.ndarray
+    tracked: np.ndarray
+    periods: tuple
+    cfg: EngineConfig
+
+
+def _compile_period(games: list, index: dict) -> CompiledPeriod:
+    """Index arrays of already validated games."""
+    white = np.array([index[g.white_id] for g in games], dtype=np.intp)
+    black = np.array([index[g.black_id] for g in games], dtype=np.intp)
+    observed = np.array([model.outcome_index(g.outcome) for g in games], dtype=np.intp)
+    y = np.array([float(g.outcome) for g in games])
+    focal = np.concatenate([white, black])
+    opp = np.concatenate([black, white])
+    outcome = np.concatenate([y, 1.0 - y])
+    color = np.repeat([1.0, -1.0], len(games))
+    order = np.lexsort((color, outcome, opp, focal))
+    return CompiledPeriod(
+        white, black, observed, focal[order], opp[order], outcome[order], color[order]
+    )
+
+
+def _belief_arrays(ids: list, state: dict, cfg: EngineConfig):
+    """(mu, sigma, tracked) for ``ids``; players absent from ``state`` get
+    the default prior and are not tracked yet."""
+    beliefs = [state.get(pid) or cfg.default_belief(pid) for pid in ids]
+    mu = np.array([b.mu for b in beliefs], dtype=float)
+    sigma = np.array([b.sigma for b in beliefs], dtype=float)
+    tracked = np.array([pid in state for pid in ids], dtype=bool)
+    return mu, sigma, tracked
+
+
+def compile_history(games: list, initial_state: dict | None, cfg: EngineConfig) -> CompiledHistory:
+    """Validate and index a multi-period game history once.
+
+    Invalid games are dropped, and so are games of periods below 1.
+    Periods without games compile to empty periods.
+    """
+    grouped = games_by_period(games)
+    if not grouped:
+        raise ValueError("no games supplied")
+    state = initial_state or {}
+    valid = [
+        [g for g in grouped.get(period, []) if _validate_game(g) is None]
+        for period in range(1, max(grouped) + 1)
+    ]
+    players = set(state)
+    for period_games in valid:
+        for g in period_games:
+            players.update((g.white_id, g.black_id))
+    ids = sorted(players)
+    index = {pid: k for k, pid in enumerate(ids)}
+    mu, sigma, tracked = _belief_arrays(ids, state, cfg)
+    return CompiledHistory(
+        np.array(ids, dtype=object), mu, sigma, tracked,
+        tuple(_compile_period(period_games, index) for period_games in valid), cfg,
+    )
+
+
+def filter_period(period: CompiledPeriod, ids, mu, sigma, tracked, h: Hyperparameters,
+                  cfg: EngineConfig):
+    """Fold one compiled period into the belief arrays, in place.
+
+    Every directed term is computed against the prior arrays; each player
+    with a game takes one Newton step; then every tracked player below the
+    cap is advanced in time (``advance_time``, vectorized bit for bit).
+    Returns the games per player and the posterior sd before the advance.
+    """
+    counts = np.bincount(period.focal, minlength=len(mu))
+    if period.focal.size:
+        tracked[period.focal] = True
+        d1, d2, _ = _delta_arrays(
+            mu[period.focal], mu[period.opp], sigma[period.opp],
+            period.outcome, period.color, h, cfg.draw_score_override,
+        )
+        active = counts > 0
+        sum1 = np.bincount(period.focal, weights=d1, minlength=len(mu))
+        sum2 = np.bincount(period.focal, weights=d2, minlength=len(mu))
+        mu[active], sigma[active] = _newton_step(
+            ids[active], mu[active], sigma[active], sum1[active], sum2[active]
+        )
+    sigma_post = sigma.copy()
+    grow = tracked & (sigma < cfg.sigma_cap)
+    # float_power matches the scalar x**2 of advance_time; np.power does not
+    sigma[grow] = np.sqrt(np.float_power(sigma[grow], 2.0) + h.tau**2)
+    return counts, sigma_post
+
+
 def run_period(
     state: dict,
     games: list,
@@ -220,60 +353,30 @@ def run_period(
     absent from ``state`` receive the default prior on first appearance.
     Afterwards every tracked player, active or not, is advanced in time.
     Summation order is fixed by sorted term keys so reruns and permuted
-    inputs are bit-identical.
+    inputs are bit-identical.  Rejects carry 0-based positions in ``games``.
     """
-    state = dict(state)
-    rejected = []
-    directed = []  # (focal_id, opp_id, outcome, color)
-    for line_no, game in enumerate(games):
+    rejected, valid = [], []
+    for position, game in enumerate(games):
         reason = _validate_game(game)
-        if reason is not None:
-            rejected.append((line_no, reason))
-            continue
-        for pid in (game.white_id, game.black_id):
-            if pid not in state:
-                state[pid] = cfg.default_belief(pid)
-        y = float(game.outcome)
-        directed.append((game.white_id, game.black_id, y, 1.0))
-        directed.append((game.black_id, game.white_id, 1.0 - y, -1.0))
-    directed.sort()
-
-    ids = sorted(state)
-    index = {pid: k for k, pid in enumerate(ids)}
-    mu = np.array([state[pid].mu for pid in ids])
-    sigma = np.array([state[pid].sigma for pid in ids])
-    counts = np.zeros(len(ids), dtype=int)
-    sum1 = np.zeros(len(ids))
-    sum2 = np.zeros(len(ids))
-    if directed:
-        focal_idx = np.array([index[t[0]] for t in directed])
-        opp_idx = np.array([index[t[1]] for t in directed])
-        outcome = np.array([t[2] for t in directed])
-        color = np.array([t[3] for t in directed])
-        d1, d2, _ = _delta_arrays(
-            mu[focal_idx], mu[opp_idx], sigma[opp_idx], outcome, color, h,
-            cfg.draw_score_override,
-        )
-        counts = np.bincount(focal_idx, minlength=len(ids))
-        sum1 = np.bincount(focal_idx, weights=d1, minlength=len(ids))
-        sum2 = np.bincount(focal_idx, weights=d2, minlength=len(ids))
-
-    mu_step, sigma_step = _newton_step(ids, mu, sigma, sum1, sum2)
-    active = counts > 0
-    mu_post = np.where(active, mu_step, mu)
-    sigma_post = np.where(active, sigma_step, sigma)
-
+        if reason is None:
+            valid.append(game)
+        else:
+            rejected.append((position, reason))
+    ids = sorted(set(state).union(*((g.white_id, g.black_id) for g in valid)))
+    mu, sigma, tracked = _belief_arrays(ids, state, cfg)
+    mu_prior, sigma_prior = mu.tolist(), sigma.tolist()
+    period = _compile_period(valid, {pid: k for k, pid in enumerate(ids)})
+    counts, sigma_post = filter_period(
+        period, np.array(ids, dtype=object), mu, sigma, tracked, h, cfg
+    )
+    mu_post = mu.tolist()  # the time advance leaves means unchanged
     updates = [
-        PeriodUpdate(
-            pid, float(mu[k]), float(sigma[k]),
-            float(mu_post[k]), float(sigma_post[k]), int(counts[k]),
+        PeriodUpdate(pid, m0, s0, m1, s1, n)
+        for pid, m0, s0, m1, s1, n in zip(
+            ids, mu_prior, sigma_prior, mu_post, sigma_post.tolist(), counts.tolist()
         )
-        for k, pid in enumerate(ids)
     ]
     new_state = {
-        pid: advance_time(
-            PlayerBelief(pid, float(mu_post[k]), float(sigma_post[k])), h, cfg
-        )
-        for k, pid in enumerate(ids)
+        pid: PlayerBelief(pid, m, s) for pid, m, s in zip(ids, mu_post, sigma.tolist())
     }
     return PeriodResult(new_state, updates, rejected)

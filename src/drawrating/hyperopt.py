@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import engine, model, oracle
-from .engine import EngineConfig, PlayerBelief
+from .engine import EngineConfig, PlayerBelief, games_by_period
 from .model import Hyperparameters
 
 #: Simplex stops when the objective spread falls below this.
@@ -103,38 +103,8 @@ def game_predictive_likelihood(
     return float(p[model.outcome_index(outcome)])
 
 
-def games_by_period(games: list) -> dict:
-    """Group game records into {period: [games]} preserving input order."""
-    grouped = {}
-    for g in games:
-        grouped.setdefault(g.period, []).append(g)
-    return grouped
-
-
-def _period_loglik(state, period_games, h, cfg, order):
-    """Sum of log predictive likelihoods for one period's games."""
-    if not period_games:
-        return 0.0, 0
-    valid = [g for g in period_games if engine._validate_game(g) is None]
-    if not valid:
-        return 0.0, 0
-
-    def belief(pid):
-        return state.get(pid) or cfg.default_belief(pid)
-
-    wmu = np.array([belief(g.white_id).mu for g in valid])
-    wsd = np.array([belief(g.white_id).sigma for g in valid])
-    bmu = np.array([belief(g.black_id).mu for g in valid])
-    bsd = np.array([belief(g.black_id).sigma for g in valid])
-    idx = np.array([model.outcome_index(g.outcome) for g in valid])
-    p = predictive_probability_array(wmu, wsd, bmu, bsd, h, order)
-    chosen = p[np.arange(len(valid)), idx]
-    with np.errstate(divide="ignore"):  # an underflown outcome scores -inf
-        return float(np.log(chosen).sum()), len(valid)
-
-
 def evaluate_hyperparameters(
-    games: list,
+    games: list | engine.CompiledHistory,
     h: Hyperparameters,
     cfg: EngineConfig,
     train_until: int,
@@ -146,26 +116,39 @@ def evaluate_hyperparameters(
     Runs the filter over periods 1..train_until, then alternates scoring a
     period's games against the current priors with folding them in, exactly
     once per validation period.  Future outcomes are never read before their
-    period is scored.
+    period is scored.  ``games`` is a game list or a history compiled by
+    ``engine.compile_history``, which already holds the initial state.
     """
-    grouped = games_by_period(games)
-    if not grouped:
-        raise ValueError("no games supplied")
-    last = max(grouped)
+    if isinstance(games, engine.CompiledHistory):
+        if initial_state is not None:
+            raise ValueError("a compiled history already holds its initial state")
+        if games.cfg != cfg:
+            raise ValueError("the history was compiled under another EngineConfig")
+        history = games
+    else:
+        history = engine.compile_history(games, initial_state, cfg)
+    last = len(history.periods)
     if train_until >= last:
         raise ValueError(
             f"train_until ({train_until}) must precede the last period ({last})"
         )
-    state = dict(initial_state) if initial_state else {}
+    mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
     per_period = []
     evaluated = 0
-    for period in range(1, last + 1):
-        period_games = grouped.get(period, [])
-        if period > train_until:
-            loglik, n = _period_loglik(state, period_games, h, cfg, order)
+    for number, period in enumerate(history.periods, start=1):
+        if number > train_until:
+            n = len(period.white)
+            loglik = 0.0
+            if n:
+                white, black = period.white, period.black
+                p = predictive_probability_array(
+                    mu[white], sigma[white], mu[black], sigma[black], h, order
+                )
+                with np.errstate(divide="ignore"):  # an underflown outcome scores -inf
+                    loglik = float(np.log(p[np.arange(n), period.observed]).sum())
             per_period.append(loglik)
             evaluated += n
-        state = engine.run_period(state, period_games, h, cfg).state
+        engine.filter_period(period, history.ids, mu, sigma, tracked, h, cfg)
     return PredictiveEvaluation(tuple(per_period), math.fsum(per_period), evaluated)
 
 
@@ -209,22 +192,31 @@ def optimize(
 
     ``objective_fn`` (Hyperparameters -> float, larger is better) replaces
     the predictive evaluation when given; used for testing the search.
+    Otherwise the history is compiled once and every evaluation replays it.
+    A candidate that raises ``DegenerateUpdateError``, or whose vector maps
+    to no valid hyperparameters, scores -inf; both count as evaluations,
+    and only the first kind is traced.
     """
     starts = default_starts() if starts is None else list(starts)
     if not starts:
         raise ValueError("at least one start is required")
     if objective_fn is None:
+        history = engine.compile_history(games, initial_state, cfg)
+
         def objective_fn(h):
-            return evaluate_hyperparameters(
-                games, h, cfg, train_until, initial_state
-            ).total
+            return evaluate_hyperparameters(history, h, cfg, train_until).total
 
     evaluations = 0
 
     def negative(v):
         nonlocal evaluations
         evaluations += 1
-        h = _from_vector(v, fix_alpha)
+        try:
+            h = _from_vector(v, fix_alpha)
+        except (OverflowError, ValueError):
+            # no valid hyperparameters (tau overflows or a value is not
+            # finite): as bad as a degenerate candidate, with nothing to trace
+            return math.inf
         try:
             value = objective_fn(h)
         except engine.DegenerateUpdateError:
@@ -260,7 +252,7 @@ def optimize(
             },
         )
         return start_value, OptimizationStart(
-            start, _from_vector(res.x, fix_alpha), -res.fun
+            start, _from_vector(res.x, fix_alpha), float(-res.fun)
         )
 
     start_values, results = zip(*(search(start) for start in starts))

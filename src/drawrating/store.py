@@ -92,6 +92,36 @@ def parse_games(stream) -> tuple[list[GameRecord], list[tuple[int, str]]]:
     return records, rejects
 
 
+def parse_ratings(stream) -> tuple[list[tuple[str, float]], list[tuple[int, str]]]:
+    """Parse a ``player,elo`` file into (ratings, rejects); never aborts on a bad row.
+
+    Rejects carry (line number, reason).  A header row is skipped if
+    present.  Duplicate ids and non-finite ratings are left to
+    ``initialize_priors``, which refuses them.
+    """
+    ratings, rejects = [], []
+    for line_no, row in enumerate(csv.reader(stream), start=1):
+        if not row or (line_no == 1 and row[0].strip().lower() == "player"):
+            continue
+        if len(row) != 2:
+            rejects.append((line_no, f"expected 2 fields, got {len(row)}"))
+            continue
+        player, elo = (c.strip() for c in row)
+        if not player:
+            rejects.append((line_no, "empty player id"))
+            continue
+        try:
+            ratings.append((player, float(elo)))
+        except ValueError:
+            rejects.append((line_no, f"bad elo {elo!r}"))
+    return ratings, rejects
+
+
+def read_ratings(path: str) -> tuple[list[tuple[str, float]], list[tuple[int, str]]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return parse_ratings(fh)
+
+
 def read_games(path: str) -> tuple[list[GameRecord], list[tuple[int, str]]]:
     with open(path, newline="", encoding="utf-8") as fh:
         return parse_games(fh)

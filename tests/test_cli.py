@@ -146,6 +146,42 @@ class TestOptimize:
         assert code in (cli.EXIT_OK, cli.EXIT_INPUT_ERROR)
         assert out.read_text().startswith("parameter,value\n")
 
+    def test_objective_is_a_plain_number(self, league_files, tmp_path):
+        _, games_path, _ = league_files
+        out = tmp_path / "fit.csv"
+        run(["optimize", "--games", games_path, "--train-until", 1, "--out", out])
+        rows = dict(line.split(",") for line in out.read_text().splitlines())
+        assert "np." not in rows["objective"]
+        assert float(rows["objective"]) < 0.0
+
+    @pytest.mark.parametrize("row", ["p00000", "p00000,abc", ",1900", "p00000,1900,7"])
+    def test_malformed_rating_rows_are_skipped_with_a_warning(
+        self, league_files, tmp_path, capsys, row
+    ):
+        _, games_path, _ = league_files
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text(f"player,elo\n{row}\np00001,1900\n")
+        out = tmp_path / "fit.csv"
+        code = run(["optimize", "--games", games_path, "--train-until", 1,
+                    "--ratings", ratings, "--out", out])
+        assert code in (cli.EXIT_OK, cli.EXIT_INPUT_ERROR)
+        err = capsys.readouterr().err
+        assert err.startswith("warning: ratings line 2: ") and err.count("\n") == 1
+        assert out.read_text().startswith("parameter,value\n")
+
+    @pytest.mark.parametrize("rows", ["p00000,2100\np00000,1900", "p00000,nan", "p00000,inf"])
+    def test_unusable_ratings_exit_with_one_line(self, league_files, tmp_path, capsys, rows):
+        _, games_path, _ = league_files
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text(f"player,elo\n{rows}\n")
+        out = tmp_path / "fit.csv"
+        code = run(["optimize", "--games", games_path, "--train-until", 1,
+                    "--ratings", ratings, "--out", out])
+        assert code == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestValidate:
     def test_report_written(self, tmp_path):

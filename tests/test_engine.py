@@ -303,6 +303,18 @@ class TestRunPeriod:
         assert result.state["a"].sigma == math.sqrt(0.2**2 + H2.tau**2)
         assert result.updates[0].games_count == 0
 
+    def test_vector_advance_is_bit_equal_to_advance_time(self):
+        """The array advance rounds exactly as the scalar x**2 of advance_time."""
+        sigma = np.random.default_rng(3).uniform(0.01, 0.69, 100_000)
+        sigma[:3] = CFG.sigma_cap, 0.8, 0.690
+        advanced = sigma.copy()
+        engine.filter_period(
+            engine._compile_period([], {}), np.array([f"p{k}" for k in range(sigma.size)]),
+            np.zeros(sigma.size), advanced, np.ones(sigma.size, dtype=bool), H2, CFG,
+        )
+        expected = [engine.advance_time(belief(0.0, s), H2, CFG).sigma for s in sigma.tolist()]
+        assert advanced.tolist() == expected
+
     def test_original_state_not_mutated(self):
         state = {"a": belief(0, 0.5, "a"), "b": belief(0, 0.5, "b")}
         engine.run_period(state, _games(("a", "b", 1.0)), H2, CFG)

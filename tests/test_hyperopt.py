@@ -295,6 +295,26 @@ class TestOptimize:
         assert result.converged
         assert math.isfinite(result.objective)
 
+    def test_unrepresentable_candidates_score_minus_infinity(self):
+        """Simplex steps that push log tau past exp's range are counted, not fatal."""
+        calls = []
+        objective = self.quadratic_objective(Hyperparameters(beta0=0.8, beta1=0.25, tau=0.3))
+
+        def counted(h):
+            calls.append(h)
+            return objective(h)
+
+        trace = hyperopt.TraceRecorder()
+        result = hyperopt.optimize(
+            [], CFG, train_until=1,
+            starts=[Hyperparameters(beta0=0.0, beta1=0.0, tau=1e300)],
+            objective_fn=counted, trace=trace,
+        )
+        assert result.evaluations > len(calls) == len(trace.rows)
+        assert math.isfinite(result.objective)
+        assert type(result.objective) is float
+        assert all(type(s.objective) is float for s in result.starts)
+
     def test_non_improving_search_flags_non_convergence(self):
         result = hyperopt.optimize(
             [], CFG, train_until=1,
@@ -330,3 +350,99 @@ class TestOptimize:
         )
         assert math.isfinite(result.objective)
         assert result.best.tau > 0
+
+
+def _guard_league():
+    """30 players over 5 periods, trained through period 2.
+
+    Players p00-p19 start rated; p18 never plays and p19 sits at the sigma
+    cap until it plays in period 5.  p20-p29 debut in period 3, period 4 has
+    no games and period 5 holds a self-play row.
+    """
+    players = [f"p{k:02d}" for k in range(30)]
+    state = {pid: belief(0.1 * k - 0.5, 0.3 + 0.02 * k, pid)
+             for k, pid in enumerate(players[:18])}
+    state["p18"] = belief(0.4, 0.35, "p18")
+    state["p19"] = belief(1.2, CFG.sigma_cap, "p19")
+    games = []
+
+    def add(period, pool):
+        for i in range(40):
+            white = pool[(7 * i) % len(pool)]
+            black = pool[(7 * i + 1 + i % 5) % len(pool)]
+            games.append(GameRecord(period, white, black, (1.0, 0.5, 0.0)[(i * i + period) % 3]))
+
+    add(1, players[:18])
+    add(2, players[:18])
+    add(3, players[:18:2] + players[20:])
+    add(5, players[:18] + players[19:])
+    games.insert(len(games) - 7, GameRecord(5, "p03", "p03", 1.0))
+    return games, state
+
+
+GUARD_POINTS = [
+    Hyperparameters(),
+    Hyperparameters(beta0=0.35338, beta1=0.57041, tau=0.4604),
+    Hyperparameters(0.1, 0.05, 0.8, 0.3, 0.25),
+]
+
+
+class TestReplayGuard:
+    """The predictive objective on a league with every bookkeeping case."""
+
+    # repr of (total, per_period_loglik) at GUARD_POINTS, computed by the
+    # per-period dict filter that preceded the compiled replay
+    FROZEN = [
+        ("-103.43086215812299", "(-38.09644069618419, 0.0, -65.3344214619388)"),
+        ("-94.99919048064402", "(-39.82371954706921, 0.0, -55.175470933574815)"),
+        ("-98.18495219617823", "(-38.13619847832156, 0.0, -60.04875371785667)"),
+    ]
+
+    @pytest.mark.parametrize("h,expected", list(zip(GUARD_POINTS, FROZEN)))
+    def test_frozen_objective(self, h, expected):
+        games, state = _guard_league()
+        ev = hyperopt.evaluate_hyperparameters(games, h, CFG, 2, state)
+        assert (repr(ev.total), repr(ev.per_period_loglik)) == expected
+        assert ev.games_evaluated == 80
+
+    @pytest.mark.parametrize("h", GUARD_POINTS)
+    def test_matches_run_period_hand_loop(self, h):
+        games, state = _guard_league()
+        ev = hyperopt.evaluate_hyperparameters(games, h, CFG, 2, state)
+        grouped = hyperopt.games_by_period(games)
+        expected = []
+        for period in range(1, 6):
+            period_games = grouped.get(period, [])
+            if period > 2:
+                expected.append(math.fsum(
+                    math.log(hyperopt.game_predictive_likelihood(
+                        state.get(g.white_id) or CFG.default_belief(g.white_id),
+                        state.get(g.black_id) or CFG.default_belief(g.black_id),
+                        g.outcome, h,
+                    ))
+                    for g in period_games if g.white_id != g.black_id
+                ))
+            state = engine.run_period(state, period_games, h, CFG).state
+        assert expected[1] == 0.0
+        np.testing.assert_allclose(ev.per_period_loglik, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("h", GUARD_POINTS)
+    def test_compiled_history_gives_identical_results(self, h):
+        games, state = _guard_league()
+        history = engine.compile_history(games, state, CFG)
+        assert list(history.ids) == sorted(history.ids)
+        assert "p03" in history.ids and history.tracked.sum() == 20
+        from_list = hyperopt.evaluate_hyperparameters(games, h, CFG, 2, state)
+        compiled = hyperopt.evaluate_hyperparameters(history, h, CFG, 2)
+        assert compiled == from_list
+        assert repr(compiled.total) == repr(from_list.total)
+
+    def test_compiled_history_refuses_a_second_initial_state(self):
+        games, state = _guard_league()
+        history = engine.compile_history(games, state, CFG)
+        with pytest.raises(ValueError):
+            hyperopt.evaluate_hyperparameters(history, H2, CFG, 2, initial_state=state)
+        with pytest.raises(ValueError):
+            hyperopt.evaluate_hyperparameters(
+                history, H2, EngineConfig(default_prior_elo=1500.0), 2
+            )
