@@ -121,15 +121,19 @@ def _delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_ove
         *(np.atleast_1d(np.asarray(x, dtype=float))
           for x in (focal_mu, opp_mu, opp_sigma, outcome, color))
     )
-    a = model.score_coefficient_array(color, h, draw_score_override)
-    observed = (2.0 - 2.0 * outcome).astype(int)[:, None]  # 1, 0.5, 0 -> 0, 1, 2
+    a = tuple(model.score_coefficient_array(color, h, draw_score_override).T)
+    observed = (2.0 - 2.0 * outcome).astype(np.intp)  # 1, 0.5, 0 -> 0, 1, 2
+    a_y = np.choose(observed, a)
     p_obs = num1 = num2 = 0.0
     for node in (-1.0, 1.0):
-        p = model.probability_array(focal_mu, opp_mu + node * opp_sigma, color, h)
-        p_y, d1, d2 = model.derivative_arrays(p, a, observed)
-        p_obs = p_obs + p_y[:, 0]
-        num1 = num1 + d1[:, 0]
-        num2 = num2 + d2[:, 0]
+        p = tuple(map(np.exp, model.log_probability_columns(
+            focal_mu, opp_mu + node * opp_sigma, color, h
+        )))
+        p_y = np.choose(observed, p)
+        d1, d2 = model.derivative_arrays(p, a, p_y, a_y)
+        p_obs = p_obs + p_y
+        num1 = num1 + d1
+        num2 = num2 + d2
     # p_obs can underflow to exactly 0 for pathological hyperparameters;
     # the resulting NaNs are caught by the precision check downstream
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -10,6 +10,7 @@ starting points, with tau searched on the log scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -89,6 +90,27 @@ def predictive_probability_array(
     return (p * w2).sum(axis=(-3, -2))
 
 
+def _observed_probability(
+    white_mu, white_sigma, black_mu, black_sigma, observed, h: Hyperparameters, order: int
+) -> np.ndarray:
+    """Belief-integrated probability of each game's observed outcome.
+
+    The 1-D form of ``predictive_probability_array`` for scoring: the
+    quadrature nodes lead the layout, (order, order, games), and only the
+    observed outcome's column is exponentiated.  The node pairs are added
+    one at a time in C order, the order of the stacked form's sum; numpy's
+    own reduction over the node axes would sum a single game pairwise.
+    """
+    rule = oracle.gh_rule(order)
+    nodes, weights = rule.nodes, rule.weights / math.sqrt(math.pi)
+    theta_w = white_mu + math.sqrt(2.0) * white_sigma * nodes[:, None, None]
+    theta_b = black_mu + math.sqrt(2.0) * black_sigma * nodes[None, :, None]
+    logp = np.choose(observed, model.log_probability_columns(theta_w, theta_b, 1.0, h))
+    w2 = weights[:, None, None] * weights[None, :, None]
+    terms = (np.exp(logp) * w2).reshape(order * order, len(observed))
+    return functools.reduce(np.add, terms)
+
+
 def game_predictive_likelihood(
     white: PlayerBelief,
     black: PlayerBelief,
@@ -115,9 +137,11 @@ def evaluate_hyperparameters(
 
     Runs the filter over periods 1..train_until, then alternates scoring a
     period's games against the current priors with folding them in, exactly
-    once per validation period.  Future outcomes are never read before their
-    period is scored.  ``games`` is a game list or a history compiled by
-    ``engine.compile_history``, which already holds the initial state.
+    once per validation period; the last period is scored only, since
+    nothing reads the beliefs after it.  Future outcomes are never read
+    before their period is scored.  ``games`` is a game list or a history
+    compiled by ``engine.compile_history``, which already holds the initial
+    state.
     """
     if isinstance(games, engine.CompiledHistory):
         if initial_state is not None:
@@ -141,14 +165,16 @@ def evaluate_hyperparameters(
             loglik = 0.0
             if n:
                 white, black = period.white, period.black
-                p = predictive_probability_array(
-                    mu[white], sigma[white], mu[black], sigma[black], h, order
+                p = _observed_probability(
+                    mu[white], sigma[white], mu[black], sigma[black], period.observed,
+                    h, order,
                 )
                 with np.errstate(divide="ignore"):  # an underflown outcome scores -inf
-                    loglik = float(np.log(p[np.arange(n), period.observed]).sum())
+                    loglik = float(np.log(p).sum())
             per_period.append(loglik)
             evaluated += n
-        engine.filter_period(period, history.ids, mu, sigma, tracked, h, cfg)
+        if number < last:
+            engine.filter_period(period, history.ids, mu, sigma, tracked, h, cfg)
     return PredictiveEvaluation(tuple(per_period), math.fsum(per_period), evaluated)
 
 
@@ -241,16 +267,19 @@ def optimize(
                 return -start_value
             return negative(v)
 
-        res = minimize(
-            reuse_start,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "fatol": SPREAD_TOL,
-                "xatol": 1e-6,
-                "maxfev": MAX_EVALUATIONS,
-            },
-        )
+        # scipy's stopping test subtracts vertex values: inf - inf when
+        # every vertex scores -inf
+        with np.errstate(invalid="ignore"):
+            res = minimize(
+                reuse_start,
+                x0,
+                method="Nelder-Mead",
+                options={
+                    "fatol": SPREAD_TOL,
+                    "xatol": 1e-6,
+                    "maxfev": MAX_EVALUATIONS,
+                },
+            )
         return start_value, OptimizationStart(
             start, _from_vector(res.x, fix_alpha), float(-res.fun)
         )

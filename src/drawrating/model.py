@@ -68,29 +68,37 @@ def _check_color(color) -> None:
         raise ValueError(f"color must be +1 (white) or -1 (black), got {color!r}")
 
 
+def log_probability_columns(theta_i, theta_j, color, h: Hyperparameters):
+    """Log outcome probabilities (win, draw, loss) as three broadcast arrays.
+
+    A closed-form three-way log-sum-exp: the largest logit is subtracted
+    before exponentiating, so extreme strengths stay finite, and the three
+    exponentials are added in the order numpy's length-3 ``sum`` uses.
+    """
+    avg = 0.5 * (theta_i + theta_j)
+    advantage = color * (h.alpha0 + h.alpha1 * avg) / 4.0
+    win = theta_i + advantage
+    draw = h.beta0 + (1.0 + h.beta1) * avg
+    loss = theta_j - advantage
+    top = np.maximum(np.maximum(win, draw), loss)
+    win, draw, loss = win - top, draw - top, loss - top
+    with np.errstate(divide="ignore"):  # exact zeros are legal probabilities
+        log_total = np.log((np.exp(win) + np.exp(draw)) + np.exp(loss))
+    return win - log_total, draw - log_total, loss - log_total
+
+
 def log_probability_array(theta_i, theta_j, color, h: Hyperparameters) -> np.ndarray:
     """Log outcome probabilities, stacked (win, draw, loss) on the last axis.
 
-    Inputs broadcast; the result gains a trailing axis of length 3.  The
-    normalization subtracts the max exponent, so extreme strengths stay
-    finite.
+    Inputs broadcast; the result gains a trailing axis of length 3.
     """
-    theta_i = np.asarray(theta_i, dtype=float)
-    theta_j = np.asarray(theta_j, dtype=float)
-    color = np.asarray(color, dtype=float)
-    avg = 0.5 * (theta_i + theta_j)
-    advantage = color * (h.alpha0 + h.alpha1 * avg) / 4.0
-    logits = np.stack(
-        np.broadcast_arrays(
-            theta_i + advantage,
-            h.beta0 + (1.0 + h.beta1) * avg,
-            theta_j - advantage,
-        ),
-        axis=-1,
+    columns = log_probability_columns(
+        np.asarray(theta_i, dtype=float),
+        np.asarray(theta_j, dtype=float),
+        np.asarray(color, dtype=float),
+        h,
     )
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore"):  # exact zeros are legal probabilities
-        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)
 
 
 def probability_array(theta_i, theta_j, color, h: Hyperparameters) -> np.ndarray:
@@ -137,20 +145,19 @@ def score_coefficients(
     return score_coefficient_array(color, h, draw_score_override)
 
 
-def derivative_arrays(p, a, columns):
-    """Selected outcome probabilities and their first two theta_i-derivatives.
+def derivative_arrays(p, a, p_c, a_c):
+    """First two theta_i-derivatives of selected outcome probabilities.
 
-    ``p`` and ``a`` hold probabilities and score coefficients, (win, draw,
-    loss) on the last axis; ``columns`` picks entries along that axis as in
-    ``np.take_along_axis``.  With s1 = sum(p a) and s2 = sum(p a^2) the
-    derivatives are p (a - s1) and p (a^2 - s2 - 2 s1 (a - s1)); only the
-    selected columns' terms are formed.
+    ``p`` and ``a`` are the (win, draw, loss) probability and score
+    coefficient columns; ``p_c`` and ``a_c`` are the selected outcomes'
+    entries.  With s1 = sum(p a) and s2 = sum(p a^2) the derivatives are
+    p_c (a_c - s1) and p_c (a_c^2 - s2 - 2 s1 (a_c - s1)), so only the
+    selected outcomes' terms are formed.
     """
-    s1 = np.einsum("...j,...j->...", p, a)[..., None]
-    s2 = np.einsum("...j,...j->...", p, a * a)[..., None]
-    p_c = np.take_along_axis(p, columns, axis=-1)
-    a_c = np.take_along_axis(a, columns, axis=-1)
-    return p_c, p_c * (a_c - s1), p_c * (a_c * a_c - s2 - 2.0 * s1 * (a_c - s1))
+    (p_w, p_d, p_l), (a_w, a_d, a_l) = p, a
+    s1 = (p_w * a_w + p_l * a_l) + p_d * a_d
+    s2 = (p_w * (a_w * a_w) + p_l * (a_l * a_l)) + p_d * (a_d * a_d)
+    return p_c * (a_c - s1), p_c * (a_c * a_c - s2 - 2.0 * s1 * (a_c - s1))
 
 
 def probability_derivatives(
@@ -169,11 +176,9 @@ def probability_derivatives(
     if not (math.isfinite(theta_i) and math.isfinite(theta_j)):
         raise ValueError(f"strengths must be finite, got {theta_i}, {theta_j}")
     _check_color(color)
-    _, first, second = derivative_arrays(
-        probability_array(theta_i, theta_j, color, h),
-        score_coefficient_array(color, h, draw_score_override),
-        np.arange(3),
-    )
+    p = probability_array(theta_i, theta_j, color, h)
+    a = score_coefficient_array(color, h, draw_score_override)
+    first, second = derivative_arrays(p, a, p, a)
     return tuple(float(v) for v in first), tuple(float(v) for v in second)
 
 

@@ -68,9 +68,9 @@ def _log_joint(focal, opponent, outcome, color, h, order):
     rule = gh_rule(order)
     theta_i = focal.mu + math.sqrt(2.0) * focal.sigma * rule.nodes
     theta_j = opponent.mu + math.sqrt(2.0) * opponent.sigma * rule.nodes
-    logp = model.log_probability_array(
+    logp = model.log_probability_columns(
         theta_i[:, None], theta_j[None, :], color, h
-    )[..., model.outcome_index(outcome)]
+    )[model.outcome_index(outcome)]
     logw = np.log(rule.weights)
     return logw[:, None] + logw[None, :] + logp, theta_i
 

@@ -5,6 +5,7 @@ integration over both players' beliefs (4001-point grids, +/- 8 sd).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,23 @@ class TestEvaluateHyperparameters:
         ev = hyperopt.evaluate_hyperparameters(games, H2, CFG, train_until=1)
         assert math.isfinite(ev.total)
         assert ev.games_evaluated == 1
+
+    def test_last_period_is_scored_but_not_folded_in(self):
+        """Nothing reads the beliefs after the last period, so a candidate
+        whose last update would be degenerate still scores that period."""
+        state = {"w": belief(0.0, 600.0, "w"), "b": belief(800.0, 0.1, "b")}
+        games = [GameRecord(1, "x", "y", 1.0), GameRecord(2, "w", "b", 1.0)]
+        trained = engine.run_period(state, games[:1], H2, CFG).state
+        with pytest.raises(engine.DegenerateUpdateError):
+            engine.run_period(trained, games[1:], H2, CFG)
+        ev = hyperopt.evaluate_hyperparameters(
+            games, H2, CFG, train_until=1, initial_state=state
+        )
+        expected = math.log(
+            hyperopt.game_predictive_likelihood(trained["w"], trained["b"], 1.0, H2)
+        )
+        assert math.isfinite(ev.total)
+        assert ev.per_period_loglik[0] == pytest.approx(expected, abs=1e-12)
 
     def test_invalid_games_skipped(self):
         games = [
@@ -277,6 +295,31 @@ class TestOptimize:
             objective_fn=counted, trace=trace,
         )
         assert len(calls) == result.evaluations == len(trace.rows)
+
+    def test_minus_infinity_simplex_raises_no_warnings(self):
+        """A start whose whole simplex scores -inf makes Nelder-Mead subtract
+        inf from inf; the search stays silent and counts every call."""
+        calls = []
+        base = self.quadratic_objective(Hyperparameters(beta0=0.8, beta1=0.25, tau=0.3))
+
+        def half_space(h):
+            calls.append(h)
+            if h.beta0 < 0.5:
+                raise engine.DegenerateUpdateError("synthetic blow-up")
+            return base(h)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = hyperopt.optimize(
+                [], CFG, train_until=1,
+                starts=[Hyperparameters(beta0=0.2, beta1=0.6, tau=0.15),
+                        Hyperparameters(beta0=1.0, beta1=0.6, tau=0.15)],
+                objective_fn=half_space,
+            )
+        assert len(calls) == result.evaluations
+        assert result.starts[0].objective == -math.inf
+        assert result.converged
+        assert result.best.beta0 == pytest.approx(0.8, abs=1e-2)
 
     def test_degenerate_start_scores_minus_infinity(self):
         start = Hyperparameters(beta0=0.2, beta1=0.6, tau=0.15)

@@ -189,13 +189,20 @@ class TestProbabilityDerivatives:
         h = Hyperparameters(alpha0=0.1, alpha1=0.05, beta1=0.3)
         ti, tj = np.linspace(-2.0, 6.0, 7), np.linspace(5.0, -1.0, 7)
         color = np.array([1, -1, 1, 1, -1, -1, 1])
-        p = model.probability_array(ti, tj, color, h)
-        a = model.score_coefficient_array(color, h, False)
-        full = model.derivative_arrays(p, a, np.broadcast_to(np.arange(3), p.shape))
-        columns = np.array([0, 1, 2, 2, 1, 0, 1])[:, None]
-        picked = model.derivative_arrays(p, a, columns)
+        p = tuple(np.exp(model.log_probability_columns(ti, tj, color, h)))
+        a = tuple(np.moveaxis(model.score_coefficient_array(color, h, False), -1, 0))
+        full = [
+            np.stack(terms, axis=-1)
+            for terms in zip(*(model.derivative_arrays(p, a, p[k], a[k]) for k in range(3)))
+        ]
+        columns = np.array([0, 1, 2, 2, 1, 0, 1])
+        picked = model.derivative_arrays(
+            p, a, np.choose(columns, p), np.choose(columns, a)
+        )
         for whole, part in zip(full, picked):
-            np.testing.assert_array_equal(np.take_along_axis(whole, columns, -1), part)
+            np.testing.assert_array_equal(
+                np.take_along_axis(whole, columns[:, None], -1), part[:, None]
+            )
 
 
 class TestEloConversions:
