@@ -21,6 +21,11 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_DEGENERATE = 2
 
+#: ``validate`` draws per game: focal mu, focal sigma, opponent mu, opponent
+#: sigma, then two unit uniforms (color and outcome).
+_VALIDATE_LOW = np.array([-1.0, 0.2, -1.0, 0.2, 0.0, 0.0])
+_VALIDATE_HIGH = np.array([8.0, 1.2, 8.0, 1.2, 1.0, 1.0])
+
 
 def _add_hyperparameter_flags(parser):
     group = parser.add_argument_group("hyperparameters")
@@ -67,6 +72,15 @@ def _config(args) -> EngineConfig:
 def _check_order(order, lowest):
     if not lowest <= order <= oracle.MAX_ORDER:
         raise ValueError(f"--order must be in {lowest}..{oracle.MAX_ORDER}, got {order}")
+
+
+def _write_output(path, write) -> None:
+    """``write(stream)`` to ``path`` in one step, or to stdout without a path."""
+    if path:
+        with store.atomic_output(path) as fh:
+            write(fh)
+    else:
+        write(sys.stdout)
 
 
 def _warn_rejects(rejects, what):
@@ -134,40 +148,51 @@ def cmd_predict(args) -> int:
     h = _hyperparameters(args)
     cfg = _config(args)
     snapshot = store.read_snapshot_file(args.snapshot)
-    state = snapshot.state()
+    index = {pid: k for k, (pid, _, _, _) in enumerate(snapshot.entries)}
+    mu = [m for _, m, _, _ in snapshot.entries]
+    sigma = [s for _, _, s, _ in snapshot.entries]
 
-    def belief(pid) -> PlayerBelief:
-        existing = state.get(pid)
-        if existing is None:
+    def lookup(pid) -> int:
+        """Row of a player; an unknown player gets a new row at the default prior."""
+        k = index.get(pid)
+        if k is None:
             print(f"warning: unknown player {pid!r}, using default prior",
                   file=sys.stderr)
-            return cfg.default_belief(pid)
-        return existing
+            default = cfg.default_belief(pid)
+            k = len(mu)
+            mu.append(default.mu)
+            sigma.append(default.sigma)
+        return k
 
-    out = args.out and open(args.out, "w", newline="", encoding="utf-8")
-    try:
-        writer = csv.writer(out or sys.stdout, lineterminator="\n")
+    fixtures, rows = [], []
+    with open(args.fixtures, newline="", encoding="utf-8") as fh:
+        for line_no, fields in enumerate(csv.reader(fh), start=1):
+            if not fields or (line_no == 1 and fields[0].strip().lower() == "white"):
+                continue
+            if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
+                print(f"warning: fixtures line {line_no}: expected 'white,black'",
+                      file=sys.stderr)
+                continue
+            white, black = (c.strip() for c in fields)
+            fixtures.append((white, black))
+            rows.append((lookup(white), lookup(black)))
+
+    mu, sigma = np.array(mu), np.array(sigma)
+    w, b = np.array(rows, dtype=np.intp).reshape(-1, 2).T
+    p = hyperopt.predictive_probability_rows(mu[w], sigma[w], mu[b], sigma[b], h,
+                                             order=args.order)
+    decisive = p[:, 0] / (p[:, 0] + p[:, 2])
+
+    def write(fh):
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["white", "black", "p_win", "p_draw", "p_loss", "p_win_decisive"])
-        with open(args.fixtures, newline="", encoding="utf-8") as fh:
-            for line_no, row in enumerate(csv.reader(fh), start=1):
-                if not row or (line_no == 1 and row[0].strip().lower() == "white"):
-                    continue
-                if len(row) != 2 or not row[0].strip() or not row[1].strip():
-                    print(f"warning: fixtures line {line_no}: expected 'white,black'",
-                          file=sys.stderr)
-                    continue
-                white, black = (c.strip() for c in row)
-                w, b = belief(white), belief(black)
-                p = hyperopt.predictive_probability_array(
-                    w.mu, w.sigma, b.mu, b.sigma, h, order=args.order
-                )
-                writer.writerow([
-                    white, black, repr(float(p[0])), repr(float(p[1])),
-                    repr(float(p[2])), repr(float(p[0] / (p[0] + p[2]))),
-                ])
-    finally:
-        if out:
-            out.close()
+        writer.writerows(
+            [white, black, repr(p_win), repr(p_draw), repr(p_loss), repr(p_dec)]
+            for (white, black), (p_win, p_draw, p_loss), p_dec
+            in zip(fixtures, p.tolist(), decisive.tolist())
+        )
+
+    _write_output(args.out, write)
     return EXIT_OK
 
 
@@ -213,29 +238,27 @@ def cmd_validate(args) -> int:
     h = _hyperparameters(args)
     cfg = _config(args)
     rng = np.random.default_rng(args.seed)
-    games = []
-    for _ in range(args.games):
-        focal = PlayerBelief("focal", rng.uniform(-1.0, 8.0), rng.uniform(0.2, 1.2))
-        opponent = PlayerBelief("opp", rng.uniform(-1.0, 8.0), rng.uniform(0.2, 1.2))
-        color = 1 if rng.random() < 0.5 else -1
-        p = hyperopt.predictive_probability_array(
-            focal.mu, focal.sigma, opponent.mu, opponent.sigma, h
+    # per game, in draw order: focal mu and sigma, opponent mu and sigma,
+    # the color uniform and the outcome uniform
+    uniforms = rng.uniform(_VALIDATE_LOW, _VALIDATE_HIGH, size=(max(args.games, 0), 6))
+    focal_mu, focal_sigma, opp_mu, opp_sigma, color_u, outcome_u = uniforms.T
+    black = color_u >= 0.5
+    p = hyperopt.predictive_probability_rows(focal_mu, focal_sigma, opp_mu, opp_sigma, h)
+    p = np.where(black[:, None], p[:, ::-1], p)  # from the focal player's side
+    outcome = np.array([model.WIN, model.DRAW, model.LOSS])[
+        (outcome_u[:, None] < p.cumsum(axis=1)).argmax(axis=1)
+    ]
+    games = [
+        (PlayerBelief("focal", fm, fs), PlayerBelief("opp", om, osd), y, -1 if b else 1)
+        for (fm, fs, om, osd), y, b in zip(
+            uniforms[:, :4].tolist(), outcome.tolist(), black.tolist()
         )
-        if color == -1:
-            p = p[::-1]
-        outcome = [model.WIN, model.DRAW, model.LOSS][
-            int((rng.random() < p.cumsum()).argmax())
-        ]
-        games.append((focal, opponent, outcome, color))
+    ]
 
     report = oracle.compare_updates(games, h, cfg, order=args.order,
                                     stratify=args.stratify)
     text = report.to_delimited()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.out, lambda fh: fh.write(text))
     if report.excluded:
         print(f"warning: {report.excluded} games excluded", file=sys.stderr)
     return EXIT_OK

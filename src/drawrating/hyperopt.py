@@ -90,6 +90,22 @@ def predictive_probability_array(
     return (p * w2).sum(axis=(-3, -2))
 
 
+def predictive_probability_rows(
+    white_mu, white_sigma, black_mu, black_sigma, h: Hyperparameters, order: int = 3
+) -> np.ndarray:
+    """``predictive_probability_array`` of n games given as 1-D arrays: (n, 3).
+
+    Games are integrated in chunks of ``oracle.grid_chunks``, so memory
+    stays bounded at any order.
+    """
+    out = np.empty((len(white_mu), 3))
+    for part in oracle.grid_chunks(len(white_mu), order):
+        out[part] = predictive_probability_array(
+            white_mu[part], white_sigma[part], black_mu[part], black_sigma[part], h, order
+        )
+    return out
+
+
 def _observed_probability(
     white_mu, white_sigma, black_mu, black_sigma, observed, h: Hyperparameters, order: int
 ) -> np.ndarray:
@@ -204,6 +220,10 @@ def _from_vector(v: np.ndarray, fix_alpha: bool) -> Hyperparameters:
     )
 
 
+class _DegenerateSimplex(Exception):
+    """Every vertex of a start's initial simplex scored -inf."""
+
+
 def optimize(
     games: list,
     cfg: EngineConfig,
@@ -221,7 +241,8 @@ def optimize(
     Otherwise the history is compiled once and every evaluation replays it.
     A candidate that raises ``DegenerateUpdateError``, or whose vector maps
     to no valid hyperparameters, scores -inf; both count as evaluations,
-    and only the first kind is traced.
+    and only the first kind is traced.  A start whose whole initial simplex
+    scores -inf is stopped there and keeps its start point at -inf.
     """
     starts = default_starts() if starts is None else list(starts)
     if not starts:
@@ -258,28 +279,36 @@ def optimize(
         x0 = _to_vector(start, fix_alpha)
         start_value = -negative(x0)
         calls = 0
+        finite = False
 
         def reuse_start(v):
-            # Nelder-Mead's first call is at x0, whose value is already known
-            nonlocal calls
+            nonlocal calls, finite
             calls += 1
-            if calls == 1 and np.array_equal(v, x0):
-                return -start_value
-            return negative(v)
+            # Nelder-Mead's first call is at x0, whose value is already known
+            value = -start_value if calls == 1 and np.array_equal(v, x0) else negative(v)
+            finite = finite or value != math.inf
+            # the first len(x0) + 1 calls are the initial simplex; if all of
+            # it scores -inf the search can only shrink it until the budget ends
+            if calls == len(x0) + 1 and not finite:
+                raise _DegenerateSimplex
+            return value
 
-        # scipy's stopping test subtracts vertex values: inf - inf when
-        # every vertex scores -inf
-        with np.errstate(invalid="ignore"):
-            res = minimize(
-                reuse_start,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "fatol": SPREAD_TOL,
-                    "xatol": 1e-6,
-                    "maxfev": MAX_EVALUATIONS,
-                },
-            )
+        try:
+            # scipy's stopping test subtracts vertex values: inf - inf when
+            # every vertex scores -inf
+            with np.errstate(invalid="ignore"):
+                res = minimize(
+                    reuse_start,
+                    x0,
+                    method="Nelder-Mead",
+                    options={
+                        "fatol": SPREAD_TOL,
+                        "xatol": 1e-6,
+                        "maxfev": MAX_EVALUATIONS,
+                    },
+                )
+        except _DegenerateSimplex:
+            return start_value, OptimizationStart(start, start, -math.inf)
         return start_value, OptimizationStart(
             start, _from_vector(res.x, fix_alpha), float(-res.fun)
         )

@@ -4,7 +4,10 @@ This is the ground-truth path used to validate the fast closed-form update:
 the exact posterior mean and variance of the focal player's strength after
 one game are ratios of two-dimensional Gaussian-weighted integrals, which an
 R-point tensor rule evaluates essentially exactly.  It is deliberately not a
-production update path.
+production update path.  ``posterior_moments`` evaluates many games in one
+array pass; ``oracle_posterior`` is its one-game call, and
+``compare_updates`` runs the fast update and the oracle over all games at
+once.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ from .engine import EngineConfig, PlayerBelief
 from .model import Hyperparameters
 
 MAX_ORDER = 50
+#: Node pairs per array pass of a batched quadrature; larger batches run in
+#: chunks, so memory stays bounded at any order and batch size.
+GRID_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -57,22 +63,62 @@ def gh_rule(order: int) -> QuadratureRule:
     return QuadratureRule(order, nodes, weights)
 
 
-def _log_joint(focal, opponent, outcome, color, h, order):
-    """Log integrand on the tensor grid, plus focal node locations.
+def grid_chunks(n: int, order: int) -> list:
+    """Slices that cut ``n`` games into chunks of at most ``GRID_CHUNK``
+    node pairs each (``order**2`` per game), and at least one game."""
+    step = max(1, GRID_CHUNK // (order * order))
+    return [slice(k, min(k + step, n)) for k in range(0, n, step)]
 
-    Returns (log weights + log outcome probability) as an (order, order)
-    array with the focal player on the first axis, and the focal node
-    values.  Everything is kept in log space so extreme nodes cannot
-    overflow.
+
+def posterior_moments(focal_mu, focal_sigma, opp_mu, opp_sigma, observed, color,
+                      h: Hyperparameters, order: int):
+    """Posterior mean and second moment of the focal strength, one game per element.
+
+    Takes 1-D arrays; ``observed`` holds outcome indices (``model.outcome_index``).
+    Each game's (order, order) tensor grid, focal player on the first axis,
+    is kept in log space so extreme nodes cannot overflow.  A game whose
+    realized outcome has zero probability at every node pair gets a NaN
+    mean.  Games are evaluated in chunks of ``grid_chunks``.
     """
     rule = gh_rule(order)
-    theta_i = focal.mu + math.sqrt(2.0) * focal.sigma * rule.nodes
-    theta_j = opponent.mu + math.sqrt(2.0) * opponent.sigma * rule.nodes
-    logp = model.log_probability_columns(
-        theta_i[:, None], theta_j[None, :], color, h
-    )[model.outcome_index(outcome)]
     logw = np.log(rule.weights)
-    return logw[:, None] + logw[None, :] + logp, theta_i
+    log_w2 = logw[:, None] + logw[None, :]
+    mean, second = np.empty(len(focal_mu)), np.empty(len(focal_mu))
+    for part in grid_chunks(len(focal_mu), order):
+        theta_i = focal_mu[part, None] + (math.sqrt(2.0) * focal_sigma[part, None]) * rule.nodes
+        theta_j = opp_mu[part, None] + (math.sqrt(2.0) * opp_sigma[part, None]) * rule.nodes
+        logp = np.choose(observed[part, None, None], model.log_probability_columns(
+            theta_i[:, :, None], theta_j[:, None, :], color[part, None, None], h
+        ))
+        log_terms = log_w2 + logp
+        shift = log_terms.max(axis=(1, 2))
+        with np.errstate(invalid="ignore"):  # a non-finite shift gives NaN moments
+            weights = np.exp(log_terms - shift[:, None, None]).sum(axis=2)
+            total = weights.sum(axis=1)
+            mean[part] = (weights * theta_i).sum(axis=1) / total
+            second[part] = (weights * theta_i**2).sum(axis=1) / total
+        mean[part][~np.isfinite(shift)] = np.nan
+    return mean, second
+
+
+def _posterior(mean: float, second: float) -> OraclePosterior:
+    """One game's posterior from its moments, refusing degenerate evidence.
+
+    The variance is formed on Python floats.
+    """
+    if math.isnan(mean):
+        raise DegenerateEvidenceError(
+            "realized outcome has zero probability at every node pair"
+        )
+    variance = second - mean**2
+    if variance <= 0:
+        raise DegenerateEvidenceError(f"non-positive posterior variance {variance}")
+    return OraclePosterior(mean, variance)
+
+
+def _check_order(order: int) -> None:
+    if order < 2:
+        raise ValueError(f"order must be >= 2, got {order}")
 
 
 def oracle_posterior(
@@ -83,23 +129,18 @@ def oracle_posterior(
     h: Hyperparameters,
     order: int = 9,
 ) -> OraclePosterior:
-    """Posterior mean and variance of the focal strength after one game."""
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-    log_terms, theta_i = _log_joint(focal, opponent, outcome, color, h, order)
-    shift = log_terms.max()
-    if not np.isfinite(shift):
-        raise DegenerateEvidenceError(
-            "realized outcome has zero probability at every node pair"
-        )
-    weights = np.exp(log_terms - shift).sum(axis=1)
-    total = weights.sum()
-    mean = float((weights * theta_i).sum() / total)
-    second = float((weights * theta_i**2).sum() / total)
-    variance = second - mean**2
-    if variance <= 0:
-        raise DegenerateEvidenceError(f"non-positive posterior variance {variance}")
-    return OraclePosterior(mean, variance)
+    """Posterior mean and variance of the focal strength after one game.
+
+    The one-game call of ``posterior_moments``.
+    """
+    _check_order(order)
+    mean, second = posterior_moments(
+        *(np.array([v], dtype=float) for v in
+          (focal.mu, focal.sigma, opponent.mu, opponent.sigma)),
+        np.array([model.outcome_index(outcome)]), np.array([color], dtype=float),
+        h, order,
+    )
+    return _posterior(float(mean[0]), float(second[0]))
 
 
 @dataclass(frozen=True)
@@ -158,6 +199,13 @@ def _summarize(label, approx_dmu, oracle_dmu, approx_dlogsd, oracle_dlogsd):
     )
 
 
+def _outcome_index_or_none(outcome):
+    try:
+        return model.outcome_index(outcome)
+    except ValueError:
+        return None
+
+
 def compare_updates(
     games: list,
     h: Hyperparameters,
@@ -174,24 +222,50 @@ def compare_updates(
     """
     if not games:
         raise ValueError("game list must be nonempty")
+    _check_order(order)
+    focal, opponent, outcome, color = zip(*games)
+    index = [_outcome_index_or_none(y) for y in outcome]
+    valid = [k is not None and f.sigma > 0 and o.sigma > 0
+             for k, f, o in zip(index, focal, opponent)]
+    observed = np.array([k or 0 for k in index])  # a stand-in win where invalid
+    focal_mu, focal_sigma, opp_mu, opp_sigma = (
+        np.array([getattr(b, field) for b in beliefs])
+        for beliefs, field in ((focal, "mu"), (focal, "sigma"),
+                               (opponent, "mu"), (opponent, "sigma"))
+    )
+    color = np.array(color, dtype=float)
+    d1, d2, p_obs = engine._delta_arrays(
+        focal_mu, opp_mu, opp_sigma, 1.0 - 0.5 * observed, color, h,
+        cfg.draw_score_override,
+    )
+    mean, second = posterior_moments(
+        focal_mu, focal_sigma, opp_mu, opp_sigma, observed, color, h, order
+    )
+
     approx_dmu, oracle_dmu = [], []
     approx_dlogsd, oracle_dlogsd = [], []
     mus, draws = [], []
     excluded = 0
-    for focal, opponent, outcome, color in games:
-        try:
-            term = engine.game_term(focal, opponent, outcome, color, h, cfg)
-            update = engine.period_update(focal, [term])
-            exact = oracle_posterior(focal, opponent, outcome, color, h, order)
-        except (ArithmeticError, ValueError):
+    for ok, f, y, t1, t2, p, m, m2 in zip(
+        valid, focal, outcome, d1.tolist(), d2.tolist(), p_obs.tolist(),
+        mean.tolist(), second.tolist(),
+    ):
+        if not (ok and p > 0):
             excluded += 1
             continue
-        approx_dmu.append(update.mu_post - focal.mu)
-        oracle_dmu.append(exact.mean - focal.mu)
-        approx_dlogsd.append(math.log(update.sigma_post) - math.log(focal.sigma))
-        oracle_dlogsd.append(0.5 * math.log(exact.variance) - math.log(focal.sigma))
-        mus.append(focal.mu)
-        draws.append(float(outcome) == model.DRAW)
+        try:
+            # Python floats: numpy's ** differs from Python's in the last bit
+            mu_post, sigma_post = engine._newton_step([f.player_id], f.mu, f.sigma, t1, t2)
+            exact = _posterior(m, m2)
+        except ArithmeticError:
+            excluded += 1
+            continue
+        approx_dmu.append(mu_post - f.mu)
+        oracle_dmu.append(exact.mean - f.mu)
+        approx_dlogsd.append(math.log(sigma_post) - math.log(f.sigma))
+        oracle_dlogsd.append(0.5 * math.log(exact.variance) - math.log(f.sigma))
+        mus.append(f.mu)
+        draws.append(float(y) == model.DRAW)
 
     approx_dmu = np.array(approx_dmu)
     oracle_dmu = np.array(oracle_dmu)

@@ -8,6 +8,7 @@ version header, written so that floats round-trip bit-exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -199,6 +200,8 @@ def load_snapshot(stream) -> RatingSnapshot:
         pid, mu, sigma, games = row[0], float(row[1]), float(row[2]), int(row[3])
         if pid in seen:
             raise SnapshotFormatError(f"duplicate player id {pid!r}")
+        if not math.isfinite(mu):
+            raise SnapshotFormatError(f"player {pid!r} has invalid mu {mu}")
         if not (math.isfinite(sigma) and sigma > 0):
             raise SnapshotFormatError(f"player {pid!r} has invalid sigma {sigma}")
         seen.add(pid)
@@ -216,18 +219,33 @@ def _expect(line: str, key: str) -> str:
     return line[len(key) + 1:]
 
 
-def write_snapshot_file(snapshot: RatingSnapshot, path: str) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+@contextlib.contextmanager
+def atomic_output(path: str, prefix: str = ".partial-"):
+    """Text stream whose content replaces ``path`` only if the block completes.
+
+    It writes a temp file in the target directory and renames it over
+    ``path`` at the end; on any error the temp file is removed and ``path``
+    is left as it was.  The file gets the mode a plain ``open`` would give.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".snapshot-")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            save_snapshot(snapshot, fh)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_snapshot_file(snapshot: RatingSnapshot, path: str) -> None:
+    """Atomic write: temp file in the target directory, then rename."""
+    with atomic_output(path, prefix=".snapshot-") as fh:
+        save_snapshot(snapshot, fh)
 
 
 def read_snapshot_file(path: str) -> RatingSnapshot:

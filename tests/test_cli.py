@@ -207,6 +207,54 @@ class TestValidate:
         assert not out.exists()
 
 
+def _write_snapshot(path, mu=0.5):
+    entries = [("anna", mu, 0.4, 3), ("bert", 1.0, 0.6, 5)]
+    store.write_snapshot_file(
+        store.RatingSnapshot(2, entries, model.DEFAULT_HYPERPARAMETERS, EngineConfig()),
+        str(path),
+    )
+
+
+class TestNoPartialOutput:
+    @pytest.mark.parametrize("existing", [None, "an older prediction\n"])
+    def test_undecodable_fixtures_leave_no_output(self, tmp_path, capsys, existing):
+        snap = tmp_path / "s.snapshot"
+        _write_snapshot(snap)
+        fixtures = tmp_path / "f.csv"
+        fixtures.write_bytes(b"white,black\nanna,bert\nbert,anna\n\xff\xfe,anna\n")
+        out_path = tmp_path / "p.csv"
+        if existing is not None:
+            out_path.write_text(existing)
+        before = sorted(tmp_path.iterdir())
+        assert run(["predict", "--snapshot", snap, "--fixtures", fixtures,
+                    "--out", out_path]) == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+        if existing is not None:
+            assert out_path.read_text() == existing
+
+    @pytest.mark.parametrize("command", ["predict", "rate"])
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_snapshot_mean_is_an_input_error(self, tmp_path, capsys, command,
+                                                         mu):
+        snap = tmp_path / "s.snapshot"
+        _write_snapshot(snap, mu)
+        inputs = tmp_path / "in.csv"
+        out_path = tmp_path / "out"
+        if command == "predict":
+            inputs.write_text("white,black\nanna,bert\n")
+            argv = ["predict", "--snapshot", snap, "--fixtures", inputs, "--out", out_path]
+        else:
+            inputs.write_text("period,white,black,result\n2,anna,bert,1\n")
+            argv = ["rate", "--games", inputs, "--snapshot", snap,
+                    "--out-snapshot", out_path, "--report", tmp_path / "report.csv"]
+        assert run(argv) == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "invalid mu" in err and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "s.snapshot"]
+
+
 class TestSimulate:
     def test_strengths_output(self, tmp_path):
         games = tmp_path / "g.csv"

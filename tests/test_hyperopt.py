@@ -321,6 +321,36 @@ class TestOptimize:
         assert result.converged
         assert result.best.beta0 == pytest.approx(0.8, abs=1e-2)
 
+    @pytest.mark.parametrize("fix_alpha,tau,simplex,traced", [
+        (True, 0.15, 4, 4),
+        (False, 0.15, 6, 6),
+        # the log-tau vertex overflows: counted, but maps to no hyperparameters
+        (True, 1e300, 4, 3),
+    ])
+    def test_all_minus_infinity_simplex_stops_the_start(self, fix_alpha, tau, simplex,
+                                                        traced):
+        """A start whose initial simplex (the start and one vertex per
+        coordinate) scores -inf everywhere is stopped after those n + 1
+        evaluations instead of shrinking the simplex to the budget."""
+        calls = []
+
+        def degenerate(h):
+            calls.append(h)
+            raise engine.DegenerateUpdateError("synthetic blow-up")
+
+        trace = hyperopt.TraceRecorder()
+        start = Hyperparameters(beta0=0.2, beta1=0.6, tau=tau)
+        result = hyperopt.optimize(
+            [], CFG, train_until=1, starts=[start], fix_alpha=fix_alpha,
+            objective_fn=degenerate, trace=trace,
+        )
+        assert result.evaluations == simplex
+        assert len(calls) == len(trace.rows) == traced
+        assert not result.converged
+        assert result.objective == -math.inf
+        assert result.best == start
+        assert result.starts[0].objective == -math.inf
+
     def test_degenerate_start_scores_minus_infinity(self):
         start = Hyperparameters(beta0=0.2, beta1=0.6, tau=0.15)
         base = self.quadratic_objective(Hyperparameters(beta0=0.8, beta1=0.25, tau=0.3))

@@ -152,6 +152,15 @@ class TestSnapshotValidation:
         with pytest.raises(SnapshotFormatError, match="sigma"):
             store.load_snapshot(self._corrupt(mutate))
 
+    @pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
+    def test_non_finite_mu(self, mu):
+        def mutate(ls):
+            parts = ls[5].split(",")
+            parts[1] = mu
+            ls[5] = ",".join(parts)
+        with pytest.raises(SnapshotFormatError, match="mu"):
+            store.load_snapshot(self._corrupt(mutate))
+
     def test_malformed_header_line(self):
         stream = self._corrupt(lambda ls: ls.__setitem__(1, "period seven"))
         with pytest.raises(SnapshotFormatError):
