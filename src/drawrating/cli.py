@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import sys
 
 import numpy as np
 
 from . import hyperopt, model, oracle, simulate, store
-from .engine import DegenerateUpdateError, EngineConfig, PlayerBelief, run_period
+from .engine import DegenerateUpdateError, EngineConfig, PlayerBelief, rate_columns
+from .engine import run_period  # noqa: F401  re-exported; bench/layers.py traces it
 from .model import Hyperparameters
 
 EXIT_OK = 0
@@ -27,46 +30,69 @@ _VALIDATE_LOW = np.array([-1.0, 0.2, -1.0, 0.2, 0.0, 0.0])
 _VALIDATE_HIGH = np.array([8.0, 1.2, 8.0, 1.2, 1.0, 1.0])
 
 
+_HYPERPARAMETER_FIELDS = ("alpha0", "alpha1", "beta0", "beta1", "tau")
+_CONFIG_FIELDS = ("sigma_cap", "default_prior_elo", "default_prior_sd_elo",
+                  "rated_prior_sd_elo")
+
+_RATE_REPORT_HEADER = ("player,games,elo_prior,rd_prior,elo_post,rd_post,elo_change,"
+                       "mu_prior,sigma_prior,mu_post,sigma_post\n")
+
+
 def _add_hyperparameter_flags(parser):
-    group = parser.add_argument_group("hyperparameters")
-    defaults = model.DEFAULT_HYPERPARAMETERS
-    group.add_argument("--alpha0", type=float, default=defaults.alpha0,
-                       help="white-advantage intercept")
-    group.add_argument("--alpha1", type=float, default=defaults.alpha1,
+    group = parser.add_argument_group(
+        "hyperparameters",
+        "a flag not given takes the snapshot's value, or else the deployed value",
+    )
+    group.add_argument("--alpha0", type=float, help="white-advantage intercept")
+    group.add_argument("--alpha1", type=float,
                        help="white-advantage slope in average strength")
-    group.add_argument("--beta0", type=float, default=defaults.beta0,
-                       help="draw intercept")
-    group.add_argument("--beta1", type=float, default=defaults.beta1,
-                       help="draw slope in average strength")
-    group.add_argument("--tau", type=float, default=defaults.tau,
-                       help="innovation standard deviation per period")
+    group.add_argument("--beta0", type=float, help="draw intercept")
+    group.add_argument("--beta1", type=float, help="draw slope in average strength")
+    group.add_argument("--tau", type=float, help="innovation standard deviation per period")
 
 
 def _add_config_flags(parser):
-    group = parser.add_argument_group("engine configuration")
-    defaults = EngineConfig()
-    group.add_argument("--sigma-cap", type=float, default=defaults.sigma_cap,
-                       help="rating-deviation growth cap (latent units)")
-    group.add_argument("--no-draw-override", action="store_true",
-                       default=not defaults.draw_score_override,
-                       help="use the model's own draw score instead of 1/2")
-    group.add_argument("--default-prior-elo", type=float, default=defaults.default_prior_elo)
-    group.add_argument("--default-prior-sd-elo", type=float, default=defaults.default_prior_sd_elo)
-    group.add_argument("--rated-prior-sd-elo", type=float, default=defaults.rated_prior_sd_elo)
-
-
-def _hyperparameters(args) -> Hyperparameters:
-    return Hyperparameters(args.alpha0, args.alpha1, args.beta0, args.beta1, args.tau)
-
-
-def _config(args) -> EngineConfig:
-    return EngineConfig(
-        sigma_cap=args.sigma_cap,
-        draw_score_override=not args.no_draw_override,
-        default_prior_elo=args.default_prior_elo,
-        default_prior_sd_elo=args.default_prior_sd_elo,
-        rated_prior_sd_elo=args.rated_prior_sd_elo,
+    group = parser.add_argument_group(
+        "engine configuration",
+        "a flag not given takes the snapshot's value, or else the engine default",
     )
+    group.add_argument("--sigma-cap", type=float,
+                       help="rating-deviation growth cap (latent units)")
+    group.add_argument("--no-draw-override", action="store_true", default=None,
+                       help="use the model's own draw score instead of 1/2")
+    group.add_argument("--default-prior-elo", type=float)
+    group.add_argument("--default-prior-sd-elo", type=float)
+    group.add_argument("--rated-prior-sd-elo", type=float)
+
+
+def _override(stored, given: dict, from_snapshot: bool):
+    """``stored`` with the flag values ``given``; where ``stored`` came from a
+    snapshot, each given value that differs from it is reported."""
+    for name, value in given.items():
+        kept = getattr(stored, name)
+        if from_snapshot and value != kept:
+            flag = ("--no-draw-override" if name == "draw_score_override"
+                    else f"--{name.replace('_', '-')} {value!r}")
+            print(f"warning: {flag} overrides snapshot value {kept!r}", file=sys.stderr)
+    return dataclasses.replace(stored, **given)
+
+
+def _hyperparameters(args, snapshot=None) -> Hyperparameters:
+    """The flags given, then the snapshot's values, then the deployed values."""
+    given = {name: getattr(args, name) for name in _HYPERPARAMETER_FIELDS
+             if getattr(args, name) is not None}
+    stored = snapshot.hyperparameters if snapshot else model.DEFAULT_HYPERPARAMETERS
+    return _override(stored, given, snapshot is not None)
+
+
+def _config(args, snapshot=None) -> EngineConfig:
+    """The flags given, then the snapshot's config, then ``EngineConfig()``."""
+    given = {name: getattr(args, name) for name in _CONFIG_FIELDS
+             if getattr(args, name) is not None}
+    if args.no_draw_override:
+        given["draw_score_override"] = False
+    return _override(snapshot.config if snapshot else EngineConfig(), given,
+                     snapshot is not None)
 
 
 def _check_order(order, lowest):
@@ -76,11 +102,8 @@ def _check_order(order, lowest):
 
 def _write_output(path, write) -> None:
     """``write(stream)`` to ``path`` in one step, or to stdout without a path."""
-    if path:
-        with store.atomic_output(path) as fh:
-            write(fh)
-    else:
-        write(sys.stdout)
+    with store.atomic_outputs(path) as (fh,):
+        write(fh or sys.stdout)
 
 
 def _warn_rejects(rejects, what):
@@ -89,13 +112,13 @@ def _warn_rejects(rejects, what):
 
 
 def cmd_rate(args) -> int:
-    h = _hyperparameters(args)
-    cfg = _config(args)
     if args.snapshot:
         snapshot = store.read_snapshot_file(args.snapshot)
-        state, played, period = snapshot.state(), snapshot.games_played(), snapshot.period
+        period, columns = snapshot.period, snapshot.columns()
     else:
-        state, played, period = {}, {}, 1
+        snapshot, period, columns = None, 1, ((),) * 4
+    ids, mu, sigma, played = columns
+    h, cfg = _hyperparameters(args, snapshot), _config(args, snapshot)
 
     games, rejects = store.read_games(args.games)
     _warn_rejects(rejects, "games")
@@ -107,50 +130,42 @@ def cmd_rate(args) -> int:
             f"games are for period {periods.pop()}, snapshot expects {period}"
         )
 
-    result = run_period(state, games, h, cfg)
-    for u in result.updates:
-        played[u.player_id] = played.get(u.player_id, 0) + u.games_count
+    step = rate_columns(ids, mu, sigma, games, h, cfg)
+    elo_prior = model.latent_to_elo(step.mu_prior)
+    elo_post = model.latent_to_elo(step.mu_post)
+    counts = step.counts.tolist()
+    played = [*played, 0]  # row -1: a player new in this period
+    games_text = [str(played[k] + n) for k, n in zip(step.source.tolist(), counts)]
+    mu_post = list(map(repr, step.mu_post.tolist()))
 
-    entries = [
-        (pid, belief.mu, belief.sigma, played.get(pid, 0))
-        for pid, belief in sorted(result.state.items())
-    ]
-    store.write_snapshot_file(
-        store.RatingSnapshot(period + 1, entries, h, cfg), args.out_snapshot
-    )
+    def write_report(fh):
+        fixed = (map("{:.2f}".format, column.tolist()) for column in (
+            elo_prior, step.sigma_prior * model.ELO_SCALE,
+            elo_post, step.sigma_post * model.ELO_SCALE, elo_post - elo_prior,
+        ))
+        fh.write(_RATE_REPORT_HEADER)
+        fh.writelines(store.delimited_lines(
+            step.ids, map(str, counts), *fixed,
+            map(repr, step.mu_prior.tolist()), map(repr, step.sigma_prior.tolist()),
+            mu_post, map(repr, step.sigma_post.tolist()),
+        ))
 
-    report = args.report and open(args.report, "w", newline="", encoding="utf-8")
-    try:
-        writer = csv.writer(report or sys.stdout, lineterminator="\n")
-        writer.writerow([
-            "player", "games", "elo_prior", "rd_prior", "elo_post", "rd_post",
-            "elo_change", "mu_prior", "sigma_prior", "mu_post", "sigma_post",
-        ])
-        for u in result.updates:
-            elo_prior = model.latent_to_elo(u.mu_prior)
-            elo_post = model.latent_to_elo(u.mu_post)
-            writer.writerow([
-                u.player_id, u.games_count,
-                f"{elo_prior:.2f}", f"{u.sigma_prior * model.ELO_SCALE:.2f}",
-                f"{elo_post:.2f}", f"{u.sigma_post * model.ELO_SCALE:.2f}",
-                f"{elo_post - elo_prior:.2f}",
-                repr(u.mu_prior), repr(u.sigma_prior),
-                repr(u.mu_post), repr(u.sigma_post),
-            ])
-    finally:
-        if report:
-            report.close()
+    with store.atomic_outputs(args.out_snapshot, args.report) as (snapshot_fh, report_fh):
+        store.write_snapshot(snapshot_fh, period + 1, h, cfg, step.ids, mu_post,
+                             map(repr, step.sigma_next.tolist()), games_text)
+        if report_fh:
+            write_report(report_fh)
+    if not args.report:
+        write_report(sys.stdout)
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
     _check_order(args.order, 1)
-    h = _hyperparameters(args)
-    cfg = _config(args)
     snapshot = store.read_snapshot_file(args.snapshot)
-    index = {pid: k for k, (pid, _, _, _) in enumerate(snapshot.entries)}
-    mu = [m for _, m, _, _ in snapshot.entries]
-    sigma = [s for _, _, s, _ in snapshot.entries]
+    h, cfg = _hyperparameters(args, snapshot), _config(args, snapshot)
+    ids, mu, sigma, _ = map(list, snapshot.columns())
+    index = {pid: k for k, pid in enumerate(ids)}
 
     def lookup(pid) -> int:
         """Row of a player; an unknown player gets a new row at the default prior."""
@@ -213,23 +228,17 @@ def cmd_optimize(args) -> int:
         initial_state=initial_state,
         trace=trace,
     )
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_delimited())
-
-    out = args.out and open(args.out, "w", encoding="utf-8")
-    try:
-        fh = out or sys.stdout
-        b = result.best
+    b = result.best
+    with store.atomic_outputs(args.trace, args.out) as (trace_fh, out_fh):
+        if trace_fh:
+            trace_fh.write(trace.to_delimited())
+        fh = out_fh or sys.stdout
         fh.write("parameter,value\n")
-        for name in ("alpha0", "alpha1", "beta0", "beta1", "tau"):
+        for name in _HYPERPARAMETER_FIELDS:
             fh.write(f"{name},{getattr(b, name)!r}\n")
         fh.write(f"objective,{result.objective!r}\n")
         fh.write(f"evaluations,{result.evaluations}\n")
         fh.write(f"converged,{int(result.converged)}\n")
-    finally:
-        if out:
-            out.close()
     return EXIT_OK if result.converged else EXIT_INPUT_ERROR
 
 
@@ -276,11 +285,10 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     league = simulate.simulate_league(cfg, h)
-    with open(args.out_games, "w", newline="", encoding="utf-8") as fh:
-        store.write_games(league.games, fh)
-    if args.out_strengths:
-        with open(args.out_strengths, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+    with store.atomic_outputs(args.out_games, args.out_strengths) as (games_fh, strengths_fh):
+        store.write_games(league.games, games_fh)
+        if strengths_fh:
+            writer = csv.writer(strengths_fh, lineterminator="\n")
             writer.writerow(["player"] + [f"period_{t}" for t in range(1, cfg.periods + 1)])
             for i in range(cfg.players):
                 writer.writerow(
@@ -290,7 +298,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="drawrating",
         description="Rating engine for win/draw/loss games with "
@@ -305,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--report", help="per-player update report CSV (default stdout)")
     _add_hyperparameter_flags(rate)
     _add_config_flags(rate)
-    rate.set_defaults(func=cmd_rate)
 
     predict = sub.add_parser("predict", help="outcome probabilities for fixtures")
     predict.add_argument("--snapshot", required=True)
@@ -314,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--order", type=int, default=3, help="quadrature order")
     _add_hyperparameter_flags(predict)
     _add_config_flags(predict)
-    predict.set_defaults(func=cmd_predict)
 
     optimize = sub.add_parser("optimize", help="tune hyperparameters on game history")
     optimize.add_argument("--games", required=True)
@@ -326,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--trace", help="write the evaluation trace CSV here")
     optimize.add_argument("--out")
     _add_config_flags(optimize)
-    optimize.set_defaults(func=cmd_optimize)
 
     validate = sub.add_parser(
         "validate", help="compare fast updates against the quadrature oracle"
@@ -338,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--out")
     _add_hyperparameter_flags(validate)
     _add_config_flags(validate)
-    validate.set_defaults(func=cmd_validate)
 
     sim = sub.add_parser("simulate", help="generate a synthetic league")
     sim.add_argument("--players", type=int, required=True)
@@ -352,15 +358,16 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out-games", required=True)
     sim.add_argument("--out-strengths")
     _add_hyperparameter_flags(sim)
-    sim.set_defaults(func=cmd_simulate)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up at each call, so a replaced module attribute takes effect
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except DegenerateUpdateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

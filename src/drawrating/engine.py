@@ -9,8 +9,8 @@ form the next period's priors.
 
 Games are validated and compiled once into player-index arrays
 (``compile_history``); ``filter_period`` folds one compiled period into
-belief arrays in place.  ``run_period`` is the dict-in, dict-out form of the
-same step.
+belief arrays in place.  ``rate_columns`` rates one period of games against
+belief columns, and ``run_period`` is its dict-in, dict-out form.
 """
 
 from __future__ import annotations
@@ -278,14 +278,22 @@ def _compile_period(games: list, index: dict) -> CompiledPeriod:
     )
 
 
-def _belief_arrays(ids: list, state: dict, cfg: EngineConfig):
-    """(mu, sigma, tracked) for ``ids``; players absent from ``state`` get
-    the default prior and are not tracked yet."""
-    beliefs = [state.get(pid) or cfg.default_belief(pid) for pid in ids]
-    mu = np.array([b.mu for b in beliefs], dtype=float)
-    sigma = np.array([b.sigma for b in beliefs], dtype=float)
-    tracked = np.array([pid in state for pid in ids], dtype=bool)
-    return mu, sigma, tracked
+def _state_columns(state: dict):
+    """(ids, mu, sigma) columns of a ``{player_id: PlayerBelief}`` dict."""
+    beliefs = state.values()
+    return list(state), [b.mu for b in beliefs], [b.sigma for b in beliefs]
+
+
+def _prior_columns(all_ids: list, ids, mu, sigma, cfg: EngineConfig):
+    """(source, mu, sigma) over ``all_ids``: each player's row in the columns
+    ``ids``/``mu``/``sigma``, or -1 and the default prior of ``cfg`` for a
+    player not in them."""
+    row = {pid: k for k, pid in enumerate(ids)}
+    source = np.array([row.get(pid, -1) for pid in all_ids], dtype=np.intp)
+    default = cfg.default_belief("")
+    # row -1 of each extended column is the default prior
+    return (source, np.append(np.asarray(mu, dtype=float), default.mu)[source],
+            np.append(np.asarray(sigma, dtype=float), default.sigma)[source])
 
 
 def compile_history(games: list, initial_state: dict | None, cfg: EngineConfig) -> CompiledHistory:
@@ -308,9 +316,9 @@ def compile_history(games: list, initial_state: dict | None, cfg: EngineConfig) 
             players.update((g.white_id, g.black_id))
     ids = sorted(players)
     index = {pid: k for k, pid in enumerate(ids)}
-    mu, sigma, tracked = _belief_arrays(ids, state, cfg)
+    source, mu, sigma = _prior_columns(ids, *_state_columns(state), cfg)
     return CompiledHistory(
-        np.array(ids, dtype=object), mu, sigma, tracked,
+        np.array(ids, dtype=object), mu, sigma, source >= 0,
         tuple(_compile_period(period_games, index) for period_games in valid), cfg,
     )
 
@@ -344,20 +352,35 @@ def filter_period(period: CompiledPeriod, ids, mu, sigma, tracked, h: Hyperparam
     return counts, sigma_post
 
 
-def run_period(
-    state: dict,
-    games: list,
-    h: Hyperparameters,
-    cfg: EngineConfig,
-) -> PeriodResult:
-    """Process one rating period.
+@dataclass(frozen=True)
+class PeriodColumns:
+    """One rated period over players in sorted id order, as parallel columns.
 
-    Every game yields two directed terms (one per player); both are computed
-    against the opponents' prior beliefs, never their posteriors.  Players
-    absent from ``state`` receive the default prior on first appearance.
-    Afterwards every tracked player, active or not, is advanced in time.
-    Summation order is fixed by sorted term keys so reruns and permuted
-    inputs are bit-identical.  Rejects carry 0-based positions in ``games``.
+    ``source`` is each player's row in the input columns, or -1 for a player
+    first seen in this period.  ``sigma_post`` is the posterior sd and
+    ``sigma_next`` the next period's prior sd; the time advance leaves the
+    means unchanged, so ``mu_post`` is also the next period's prior mean.
+    """
+
+    ids: list
+    source: np.ndarray
+    mu_prior: np.ndarray
+    sigma_prior: np.ndarray
+    mu_post: np.ndarray
+    sigma_post: np.ndarray
+    sigma_next: np.ndarray
+    counts: np.ndarray
+    rejected: list
+
+
+def rate_columns(ids, mu, sigma, games: list, h: Hyperparameters,
+                 cfg: EngineConfig) -> PeriodColumns:
+    """Rate one period of ``games`` against tracked players given as columns.
+
+    ``ids`` (unique), ``mu`` and ``sigma`` hold the tracked players' priors
+    in any order.  Players first seen in a valid game get the default prior
+    of ``cfg`` and are tracked from then on.  Rejects carry 0-based positions
+    in ``games``.
     """
     rejected, valid = [], []
     for position, game in enumerate(games):
@@ -366,21 +389,42 @@ def run_period(
             valid.append(game)
         else:
             rejected.append((position, reason))
-    ids = sorted(set(state).union(*((g.white_id, g.black_id) for g in valid)))
-    mu, sigma, tracked = _belief_arrays(ids, state, cfg)
-    mu_prior, sigma_prior = mu.tolist(), sigma.tolist()
-    period = _compile_period(valid, {pid: k for k, pid in enumerate(ids)})
+    new = {pid for g in valid for pid in (g.white_id, g.black_id)}.difference(ids)
+    all_ids = sorted([*ids, *new])
+    source, mu_prior, sigma_prior = _prior_columns(all_ids, ids, mu, sigma, cfg)
+    period = _compile_period(valid, {pid: k for k, pid in enumerate(all_ids)})
+    mu, sigma = mu_prior.copy(), sigma_prior.copy()
     counts, sigma_post = filter_period(
-        period, np.array(ids, dtype=object), mu, sigma, tracked, h, cfg
+        period, np.array(all_ids, dtype=object), mu, sigma, source >= 0, h, cfg
     )
-    mu_post = mu.tolist()  # the time advance leaves means unchanged
+    return PeriodColumns(all_ids, source, mu_prior, sigma_prior, mu, sigma_post, sigma,
+                         counts, rejected)
+
+
+def run_period(
+    state: dict,
+    games: list,
+    h: Hyperparameters,
+    cfg: EngineConfig,
+) -> PeriodResult:
+    """Process one rating period: the dict-in, dict-out form of ``rate_columns``.
+
+    Every game yields two directed terms (one per player); both are computed
+    against the opponents' prior beliefs, never their posteriors.  Players
+    absent from ``state`` receive the default prior on first appearance.
+    Afterwards every tracked player, active or not, is advanced in time.
+    Summation order is fixed by sorted term keys so reruns and permuted
+    inputs are bit-identical.  Rejects carry 0-based positions in ``games``.
+    """
+    step = rate_columns(*_state_columns(state), games, h, cfg)
+    mu_post = step.mu_post.tolist()
     updates = [
-        PeriodUpdate(pid, m0, s0, m1, s1, n)
-        for pid, m0, s0, m1, s1, n in zip(
-            ids, mu_prior, sigma_prior, mu_post, sigma_post.tolist(), counts.tolist()
-        )
+        PeriodUpdate(*row)
+        for row in zip(step.ids, step.mu_prior.tolist(), step.sigma_prior.tolist(),
+                       mu_post, step.sigma_post.tolist(), step.counts.tolist())
     ]
     new_state = {
-        pid: PlayerBelief(pid, m, s) for pid, m, s in zip(ids, mu_post, sigma.tolist())
+        pid: PlayerBelief(pid, m, s)
+        for pid, m, s in zip(step.ids, mu_post, step.sigma_next.tolist())
     }
-    return PeriodResult(new_state, updates, rejected)
+    return PeriodResult(new_state, updates, step.rejected)

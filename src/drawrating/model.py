@@ -189,10 +189,12 @@ def elo_to_latent(rating: float) -> float:
     return (rating - ELO_CENTER) / ELO_SCALE
 
 
-def latent_to_elo(theta: float) -> float:
-    """Convert latent strength back to the Elo scale."""
-    if not math.isfinite(theta):
-        raise ValueError(f"strength must be finite, got {theta}")
+def latent_to_elo(theta):
+    """Convert latent strength (a float or an array) back to the Elo scale."""
+    finite = np.isfinite(theta)
+    if not finite.all():
+        bad = float(np.ravel(theta)[~np.ravel(finite)][0])
+        raise ValueError(f"strength must be finite, got {bad}")
     return ELO_CENTER + ELO_SCALE * theta
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
+import io
 import math
 import os
 import tempfile
@@ -54,6 +56,10 @@ class RatingSnapshot:
 
     def games_played(self) -> dict:
         return {pid: games for pid, _, _, games in self.entries}
+
+    def columns(self) -> tuple:
+        """The entries as (ids, mu, sigma, games) tuples."""
+        return tuple(zip(*self.entries)) or ((),) * 4
 
 
 def parse_games(stream) -> tuple[list[GameRecord], list[tuple[int, str]]]:
@@ -139,10 +145,33 @@ def _format_result(outcome: float) -> str:
     return {1.0: "1", 0.5: "0.5", 0.0: "0"}[float(outcome)]
 
 
-def save_snapshot(snapshot: RatingSnapshot, stream) -> None:
-    h, cfg = snapshot.hyperparameters, snapshot.config
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one of several fields in a row."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text])
+        return buf.getvalue()[:-1]  # quoting depends on the line terminator
+    return text
+
+
+def delimited_lines(ids, *columns):
+    """Lines ``id,c1,c2,...`` with a newline each, from an id column and text
+    columns, byte for byte as ``csv.writer(lineterminator="\\n")`` writes them.
+
+    The text columns must need no quoting, as numbers formatted with
+    ``repr``, ``:.2f`` or ``int`` never do; only an id that holds a comma, a
+    quote or a line break goes through ``csv.writer``.
+    """
+    for row in zip(map(_csv_field, ids), *columns):
+        yield ",".join(row) + "\n"
+
+
+def write_snapshot(stream, period: int, h: Hyperparameters, cfg: EngineConfig,
+                   ids, mu_text, sigma_text, games_text) -> None:
+    """The snapshot format: the header, then one ``id,mu,sigma,games`` line
+    per player from text columns (``repr`` of each float, the games count)."""
     stream.write(f"{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION}\n")
-    stream.write(f"period {snapshot.period}\n")
+    stream.write(f"period {period}\n")
     stream.write(
         "hyperparameters "
         f"{h.alpha0!r} {h.alpha1!r} {h.beta0!r} {h.beta1!r} {h.tau!r}\n"
@@ -153,10 +182,15 @@ def save_snapshot(snapshot: RatingSnapshot, stream) -> None:
         f"{cfg.default_prior_elo!r} {cfg.default_prior_sd_elo!r} "
         f"{cfg.rated_prior_sd_elo!r}\n"
     )
-    stream.write(f"players {len(snapshot.entries)}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    for pid, mu, sigma, games in snapshot.entries:
-        writer.writerow([pid, repr(float(mu)), repr(float(sigma)), games])
+    stream.write(f"players {len(ids)}\n")
+    stream.writelines(delimited_lines(ids, mu_text, sigma_text, games_text))
+
+
+def save_snapshot(snapshot: RatingSnapshot, stream) -> None:
+    ids, mu, sigma, games = snapshot.columns()
+    write_snapshot(stream, snapshot.period, snapshot.hyperparameters, snapshot.config,
+                   ids, map(repr, map(float, mu)), map(repr, map(float, sigma)),
+                   map(str, games))
 
 
 def load_snapshot(stream) -> RatingSnapshot:
@@ -225,8 +259,11 @@ def atomic_output(path: str, prefix: str = ".partial-"):
 
     It writes a temp file in the target directory and renames it over
     ``path`` at the end; on any error the temp file is removed and ``path``
-    is left as it was.  The file gets the mode a plain ``open`` would give.
+    is left as it was.  A directory at ``path`` is refused before anything is
+    written.  The file gets the mode a plain ``open`` would give.
     """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix)
     try:
@@ -240,6 +277,18 @@ def atomic_output(path: str, prefix: str = ".partial-"):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def atomic_outputs(*paths):
+    """One ``atomic_output`` stream per path, ``None`` where no path is given.
+
+    The temp files are renamed only once the whole block has completed, so
+    an error anywhere in it leaves every path as it was.
+    """
+    with contextlib.ExitStack() as stack:
+        yield [stack.enter_context(atomic_output(path)) if path else None
+               for path in paths]
 
 
 def write_snapshot_file(snapshot: RatingSnapshot, path: str) -> None:

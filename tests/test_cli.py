@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line pipelines."""
 
+import csv
+import io
+import itertools
+
 import pytest
 
-from drawrating import cli, model, oracle, store
+from drawrating import cli, engine, model, oracle, store
 from drawrating.engine import EngineConfig
 
 
@@ -76,6 +80,58 @@ class TestRate:
         lines = report.read_text().strip().splitlines()
         assert lines[0].startswith("player,games,elo_prior")
         assert len(lines) > 1
+
+    def test_outputs_match_rows_built_from_run_period(self, league_files, tmp_path):
+        """Two chained periods, with ids csv must quote: the snapshot and the
+        report are the rows csv.writer makes from run_period's updates."""
+        _, _, per_period = league_files
+        tricky = ['o"neil, jr', "name with spaces", "Zoë", "line\nbreak", ""]
+        state, played, snapshot = {}, {}, None
+        for t in (1, 2):
+            games, _ = store.read_games(str(per_period[t]))
+            games += [store.GameRecord(t, tricky[k], tricky[(k + t) % 4], outcome)
+                      for k, outcome in zip(range(4), (1.0, 0.5, 0.0, 1.0))]
+            games_path = tmp_path / f"tricky{t}.csv"
+            with open(games_path, "w", newline="", encoding="utf-8") as fh:
+                store.write_games(games, fh)
+            out, report = tmp_path / f"s{t}.snapshot", tmp_path / f"r{t}.csv"
+            argv = ["rate", "--games", games_path, "--out-snapshot", out, "--report", report]
+            assert run(argv + (["--snapshot", snapshot] if snapshot else [])) == cli.EXIT_OK
+
+            result = engine.run_period(state, games, model.DEFAULT_HYPERPARAMETERS,
+                                       EngineConfig())
+            expected_report = io.StringIO()
+            writer = csv.writer(expected_report, lineterminator="\n")
+            writer.writerow([
+                "player", "games", "elo_prior", "rd_prior", "elo_post", "rd_post",
+                "elo_change", "mu_prior", "sigma_prior", "mu_post", "sigma_post",
+            ])
+            for u in result.updates:
+                played[u.player_id] = played.get(u.player_id, 0) + u.games_count
+                elo_prior = model.latent_to_elo(u.mu_prior)
+                elo_post = model.latent_to_elo(u.mu_post)
+                writer.writerow([
+                    u.player_id, u.games_count,
+                    f"{elo_prior:.2f}", f"{u.sigma_prior * model.ELO_SCALE:.2f}",
+                    f"{elo_post:.2f}", f"{u.sigma_post * model.ELO_SCALE:.2f}",
+                    f"{elo_post - elo_prior:.2f}",
+                    repr(u.mu_prior), repr(u.sigma_prior), repr(u.mu_post), repr(u.sigma_post),
+                ])
+            state = result.state
+            header = io.StringIO()
+            store.save_snapshot(store.RatingSnapshot(
+                t + 1, [], model.DEFAULT_HYPERPARAMETERS, EngineConfig()
+            ), header)
+            expected_snapshot = io.StringIO()
+            expected_snapshot.write(
+                header.getvalue().replace("players 0", f"players {len(state)}"))
+            csv.writer(expected_snapshot, lineterminator="\n").writerows(
+                [pid, repr(b.mu), repr(b.sigma), played[pid]]
+                for pid, b in sorted(state.items())
+            )
+            assert report.read_bytes() == expected_report.getvalue().encode()
+            assert out.read_bytes() == expected_snapshot.getvalue().encode()
+            snapshot = out
 
 
 class TestPredict:
@@ -253,6 +309,166 @@ class TestNoPartialOutput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "invalid mu" in err and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "s.snapshot"]
+
+
+    def test_rate_with_an_unopenable_report_writes_no_snapshot(self, tmp_path, capsys):
+        games = tmp_path / "g.csv"
+        games.write_text("period,white,black,result\n1,a,b,1\n")
+        assert run(["rate", "--games", games, "--out-snapshot", tmp_path / "s.snap",
+                    "--report", tmp_path / "nodir" / "r.csv"]) == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv"]
+
+    @pytest.mark.parametrize("fail_on_call", [1, 2])
+    def test_rate_error_while_building_the_report_changes_no_file(
+        self, tmp_path, capsys, monkeypatch, fail_on_call
+    ):
+        """A failing Elo conversion (the finiteness check) leaves both outputs
+        as they were, however far the report had got."""
+        snap = tmp_path / "s.snapshot"
+        _write_snapshot(snap)
+        games = tmp_path / "g.csv"
+        games.write_text("period,white,black,result\n2,anna,bert,1\n")
+        out, report = tmp_path / "out.snapshot", tmp_path / "report.csv"
+        out.write_text("older snapshot\n")
+        report.write_text("older report\n")
+        calls = itertools.count(1)
+        convert = model.latent_to_elo
+
+        def failing(theta):
+            if next(calls) >= fail_on_call:
+                raise ValueError("strength must be finite, got nan")
+            return convert(theta)
+
+        monkeypatch.setattr(model, "latent_to_elo", failing)
+        assert run(["rate", "--games", games, "--snapshot", snap,
+                    "--out-snapshot", out, "--report", report]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: strength must be finite, got nan\n"
+        assert out.read_text() == "older snapshot\n"
+        assert report.read_text() == "older report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "g.csv", "out.snapshot", "report.csv", "s.snapshot"]
+
+    @pytest.mark.parametrize("bad", ["out", "trace"])
+    def test_optimize_with_an_unopenable_output_writes_nothing(
+        self, league_files, tmp_path, capsys, bad
+    ):
+        _, games_path, _ = league_files
+        paths = {"out": tmp_path / "fit.csv", "trace": tmp_path / "trace.csv"}
+        paths[bad] = tmp_path / "nodir" / f"{bad}.csv"
+        before = sorted(tmp_path.iterdir())
+        assert run(["optimize", "--games", games_path, "--train-until", 1,
+                    "--out", paths["out"], "--trace", paths["trace"]]) == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_simulate_with_an_unopenable_strengths_file_writes_no_games(
+        self, tmp_path, capsys
+    ):
+        assert run(["simulate", "--players", 6, "--periods", 2, "--games-per-period", 15,
+                    "--out-games", tmp_path / "g.csv",
+                    "--out-strengths", tmp_path / "nodir" / "s.csv"]) == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_directory_as_output_is_refused_before_writing(self, tmp_path, capsys):
+        games = tmp_path / "g.csv"
+        games.write_text("period,white,black,result\n1,a,b,1\n")
+        (tmp_path / "r.csv").mkdir()
+        assert run(["rate", "--games", games, "--out-snapshot", tmp_path / "s.snap",
+                    "--report", tmp_path / "r.csv"]) == cli.EXIT_INPUT_ERROR
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "r.csv"]
+        assert list((tmp_path / "r.csv").iterdir()) == []
+
+
+class TestSnapshotSettings:
+    """rate and predict take a flag not given from the snapshot, and warn when a
+    given flag overrides a snapshot value."""
+
+    @pytest.fixture
+    def tuned(self, league_files, tmp_path, capsys):
+        _, _, per_period = league_files
+        snap = tmp_path / "tuned.snapshot"
+        assert run(["rate", "--games", per_period[1], "--out-snapshot", snap,
+                    "--tau", 0.5, "--beta1", 0.9, "--no-draw-override",
+                    "--sigma-cap", 0.8, "--report", tmp_path / "r1.csv"]) == cli.EXIT_OK
+        capsys.readouterr()
+        return per_period, snap
+
+    def test_rate_without_flags_keeps_the_snapshot_values(self, tuned, tmp_path, capsys):
+        per_period, snap = tuned
+        implicit, explicit = tmp_path / "implicit.snapshot", tmp_path / "explicit.snapshot"
+        assert run(["rate", "--games", per_period[2], "--snapshot", snap,
+                    "--out-snapshot", implicit, "--report", tmp_path / "a.csv"]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert run(["rate", "--games", per_period[2], "--snapshot", snap,
+                    "--out-snapshot", explicit, "--report", tmp_path / "b.csv",
+                    "--tau", 0.5, "--beta1", 0.9, "--no-draw-override",
+                    "--sigma-cap", 0.8]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        loaded = store.read_snapshot_file(str(implicit))
+        assert (loaded.hyperparameters.tau, loaded.hyperparameters.beta1) == (0.5, 0.9)
+        assert loaded.config == EngineConfig(sigma_cap=0.8, draw_score_override=False)
+        assert implicit.read_bytes() == explicit.read_bytes()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_a_given_flag_that_differs_wins_with_a_warning(self, tuned, tmp_path, capsys):
+        per_period, snap = tuned
+        out = tmp_path / "out.snapshot"
+        assert run(["rate", "--games", per_period[2], "--snapshot", snap,
+                    "--out-snapshot", out, "--report", tmp_path / "r.csv",
+                    "--tau", 0.4604, "--sigma-cap", 0.8]) == cli.EXIT_OK
+        assert capsys.readouterr().err == (
+            "warning: --tau 0.4604 overrides snapshot value 0.5\n"
+        )
+        loaded = store.read_snapshot_file(str(out))
+        assert (loaded.hyperparameters.tau, loaded.hyperparameters.beta1) == (0.4604, 0.9)
+
+    def test_the_draw_switch_warns_against_a_snapshot_with_the_override_on(
+        self, league_files, tmp_path, capsys
+    ):
+        _, _, per_period = league_files
+        snap, out = tmp_path / "s1.snapshot", tmp_path / "s2.snapshot"
+        run(["rate", "--games", per_period[1], "--out-snapshot", snap,
+             "--report", tmp_path / "r1.csv"])
+        capsys.readouterr()
+        assert run(["rate", "--games", per_period[2], "--snapshot", snap,
+                    "--out-snapshot", out, "--report", tmp_path / "r2.csv",
+                    "--no-draw-override"]) == cli.EXIT_OK
+        assert capsys.readouterr().err == (
+            "warning: --no-draw-override overrides snapshot value True\n"
+        )
+        assert not store.read_snapshot_file(str(out)).config.draw_score_override
+
+    def test_predict_uses_the_snapshot_values(self, tuned, tmp_path, capsys):
+        _, snap = tuned
+        fixtures = tmp_path / "f.csv"
+        fixtures.write_text("white,black\np00000,p00001\np00002,stranger\n")
+        implicit, explicit, flagged = (tmp_path / f"{n}.csv" for n in ("i", "e", "w"))
+        assert run(["predict", "--snapshot", snap, "--fixtures", fixtures,
+                    "--out", implicit]) == cli.EXIT_OK
+        assert "overrides" not in capsys.readouterr().err
+        assert run(["predict", "--snapshot", snap, "--fixtures", fixtures,
+                    "--out", explicit, "--tau", 0.5, "--beta1", 0.9]) == cli.EXIT_OK
+        assert "overrides" not in capsys.readouterr().err
+        assert implicit.read_bytes() == explicit.read_bytes()
+        assert run(["predict", "--snapshot", snap, "--fixtures", fixtures,
+                    "--out", flagged, "--beta1", 0.17037]) == cli.EXIT_OK
+        assert "warning: --beta1 0.17037 overrides snapshot value 0.9\n" in (
+            capsys.readouterr().err)
+        assert flagged.read_bytes() != implicit.read_bytes()
+
+
+def test_the_parser_is_built_once_and_dispatch_follows_the_module(monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args.games) or 7)
+    assert run(["validate", "--games", 3]) == 7
+    assert seen == [3]
 
 
 class TestSimulate:
