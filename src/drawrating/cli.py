@@ -371,7 +371,7 @@ def main(argv=None) -> int:
     except DegenerateUpdateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

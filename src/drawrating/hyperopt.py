@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import engine, model, oracle
-from .engine import EngineConfig, PlayerBelief, games_by_period
+from .engine import EngineConfig, games_by_period
 from .model import Hyperparameters
 
 #: Simplex stops when the objective spread falls below this.
@@ -59,14 +59,41 @@ class TraceRecorder:
     def record(self, h: Hyperparameters, objective: float):
         self.rows.append((len(self.rows), h, objective))
 
-    def to_delimited(self, sep: str = ",") -> str:
+    def to_delimited(self) -> str:
         lines = ["evaluation,alpha0,alpha1,beta0,beta1,tau,objective"]
         for i, h, obj in self.rows:
-            lines.append(sep.join([
+            lines.append(",".join([
                 str(i), repr(h.alpha0), repr(h.alpha1),
                 repr(h.beta0), repr(h.beta1), repr(h.tau), repr(obj),
             ]))
         return "\n".join(lines) + "\n"
+
+
+def _node_grid(white_mu, white_sigma, black_mu, black_sigma, h: Hyperparameters, order: int):
+    """Log outcome columns (win, draw, loss) of n games on the quadrature grid.
+
+    The belief-integrated outcome probability sums these columns, exponentiated
+    and times the returned node-pair weights, over both players' nodes.  The
+    nodes lead the layout, (order, order, n), so the node pairs are its rows.
+    """
+    rule = oracle.gh_rule(order)
+    nodes, weights = rule.nodes, rule.weights / math.sqrt(math.pi)
+    theta_w = white_mu + math.sqrt(2.0) * white_sigma * nodes[:, None, None]
+    theta_b = black_mu + math.sqrt(2.0) * black_sigma * nodes[None, :, None]
+    w2 = weights[:, None, None] * weights[None, :, None]
+    return model.log_probability_columns(theta_w, theta_b, 1.0, h), w2
+
+
+def _pair_sum(terms: np.ndarray, order: int, width: int) -> np.ndarray:
+    """Sum of weighted (order, order, width) terms over the node pairs: (width,).
+
+    The pairs are added one at a time in C order, as numpy sums the node
+    axes of a stacked (..., order, order, 3) grid, so every form agrees to
+    the bit; numpy's own reduction over a leading axis would sum a single
+    game pairwise.  ``width`` is passed in rather than inferred, so an
+    input of no games still reshapes.
+    """
+    return functools.reduce(np.add, terms.reshape(order * order, width))
 
 
 def predictive_probability_array(
@@ -77,17 +104,13 @@ def predictive_probability_array(
     Integrates the outcome model over both players' independent normal
     beliefs using an order^2 tensor grid; broadcasts over leading axes.
     """
-    rule = oracle.gh_rule(order)
-    nodes, weights = rule.nodes, rule.weights / math.sqrt(math.pi)
-    white_mu = np.asarray(white_mu, dtype=float)[..., None, None]
-    white_sigma = np.asarray(white_sigma, dtype=float)[..., None, None]
-    black_mu = np.asarray(black_mu, dtype=float)[..., None, None]
-    black_sigma = np.asarray(black_sigma, dtype=float)[..., None, None]
-    theta_w = white_mu + math.sqrt(2.0) * white_sigma * nodes[:, None]
-    theta_b = black_mu + math.sqrt(2.0) * black_sigma * nodes[None, :]
-    p = model.probability_array(theta_w, theta_b, 1.0, h)
-    w2 = weights[:, None, None] * weights[None, :, None]
-    return (p * w2).sum(axis=(-3, -2))
+    beliefs = np.broadcast_arrays(*(
+        np.asarray(x, dtype=float) for x in (white_mu, white_sigma, black_mu, black_sigma)
+    ))
+    shape, n = beliefs[0].shape, beliefs[0].size
+    columns, w2 = _node_grid(*(b.reshape(n) for b in beliefs), h, order)
+    terms = np.exp(np.concatenate(columns, axis=-1)) * w2
+    return _pair_sum(terms, order, 3 * n).reshape(3, n).T.reshape(*shape, 3)
 
 
 def predictive_probability_rows(
@@ -111,34 +134,12 @@ def _observed_probability(
 ) -> np.ndarray:
     """Belief-integrated probability of each game's observed outcome.
 
-    The 1-D form of ``predictive_probability_array`` for scoring: the
-    quadrature nodes lead the layout, (order, order, games), and only the
-    observed outcome's column is exponentiated.  The node pairs are added
-    one at a time in C order, the order of the stacked form's sum; numpy's
-    own reduction over the node axes would sum a single game pairwise.
+    The scoring form of ``predictive_probability_array``: only the observed
+    outcome's column is exponentiated.
     """
-    rule = oracle.gh_rule(order)
-    nodes, weights = rule.nodes, rule.weights / math.sqrt(math.pi)
-    theta_w = white_mu + math.sqrt(2.0) * white_sigma * nodes[:, None, None]
-    theta_b = black_mu + math.sqrt(2.0) * black_sigma * nodes[None, :, None]
-    logp = np.choose(observed, model.log_probability_columns(theta_w, theta_b, 1.0, h))
-    w2 = weights[:, None, None] * weights[None, :, None]
-    terms = (np.exp(logp) * w2).reshape(order * order, len(observed))
-    return functools.reduce(np.add, terms)
-
-
-def game_predictive_likelihood(
-    white: PlayerBelief,
-    black: PlayerBelief,
-    outcome: float,
-    h: Hyperparameters,
-    order: int = 3,
-) -> float:
-    """Probability of the realized outcome, integrated over both beliefs."""
-    p = predictive_probability_array(
-        white.mu, white.sigma, black.mu, black.sigma, h, order
-    )
-    return float(p[model.outcome_index(outcome)])
+    columns, w2 = _node_grid(white_mu, white_sigma, black_mu, black_sigma, h, order)
+    terms = np.exp(np.choose(observed, columns)) * w2
+    return _pair_sum(terms, order, len(observed))
 
 
 def evaluate_hyperparameters(

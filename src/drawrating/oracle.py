@@ -166,11 +166,11 @@ class ComparisonReport:
         "r2_mean", "mean_abs_diff", "r2_log_sd",
     )
 
-    def to_delimited(self, sep: str = ",") -> str:
+    def to_delimited(self) -> str:
         out = io.StringIO()
-        out.write(sep.join(self.COLUMNS) + "\n")
+        out.write(",".join(self.COLUMNS) + "\n")
         for r in self.rows:
-            out.write(sep.join([
+            out.write(",".join([
                 r.label, str(r.n),
                 repr(r.mean_abs_approx), repr(r.mean_abs_oracle),
                 repr(r.r2_mean), repr(r.mean_abs_diff), repr(r.r2_log_sd),

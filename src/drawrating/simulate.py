@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hyperopt, model
+from . import engine, hyperopt, model
 from .engine import EngineConfig
 from .model import Hyperparameters
-from .store import GameRecord
+from .store import GameRecord, initialize_priors
 
 #: Maximum latent-strength gap for rating-banded pairing.
 BAND_WIDTH = 1.0
@@ -163,15 +163,12 @@ def recovery_experiment(
     posterior means (run at the *true* hyperparameters) and the true
     strengths.
     """
-    from . import engine as engine_mod
-    from .store import initialize_priors
-
     league = simulate_league(cfg, true_h)
     state = initialize_priors(initial_ratings(league), engine_cfg)
     grouped = hyperopt.games_by_period(league.games)
     tracking = []
     for t in range(1, cfg.periods + 1):
-        result = engine_mod.run_period(state, grouped.get(t, []), true_h, engine_cfg)
+        result = engine.run_period(state, grouped.get(t, []), true_h, engine_cfg)
         errors = [
             abs(u.mu_post - league.true_strengths[int(u.player_id[1:]), t - 1])
             for u in result.updates

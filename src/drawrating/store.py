@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import errno
-import io
 import math
 import os
 import tempfile
@@ -146,11 +145,11 @@ def _format_result(outcome: float) -> str:
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it as one of several fields in a row."""
+    """``text`` as ``csv.writer`` writes it as one of several fields in a row,
+    except that a lone carriage return is quoted too: ``csv.writer`` leaves it
+    bare under a ``"\\n"`` line terminator, and ``csv.reader`` refuses it."""
     if "," in text or '"' in text or "\r" in text or "\n" in text:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([text])
-        return buf.getvalue()[:-1]  # quoting depends on the line terminator
+        return '"' + text.replace('"', '""') + '"'
     return text
 
 
@@ -160,7 +159,8 @@ def delimited_lines(ids, *columns):
 
     The text columns must need no quoting, as numbers formatted with
     ``repr``, ``:.2f`` or ``int`` never do; only an id that holds a comma, a
-    quote or a line break goes through ``csv.writer``.
+    quote or a line break is quoted.  An id with a lone carriage return is
+    the one exception to the byte identity: it is quoted, so that it reads back.
     """
     for row in zip(map(_csv_field, ids), *columns):
         yield ",".join(row) + "\n"

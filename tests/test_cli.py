@@ -364,6 +364,41 @@ class TestNoPartialOutput:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("command,oversized", [
+        ("rate", "games"), ("optimize", "games"), ("optimize", "ratings"),
+        ("predict", "fixtures"),
+    ])
+    def test_an_oversized_csv_field_is_an_input_error(self, tmp_path, capsys, command,
+                                                      oversized):
+        """A field longer than ``csv.field_size_limit()`` makes the csv reader
+        raise; the command ends in one error line and writes nothing."""
+        snap = tmp_path / "s.snapshot"
+        _write_snapshot(snap)
+        inputs = {
+            "games": "period,white,black,result\n1,anna,bert,1\n2,bert,anna,0\n",
+            "ratings": "player,elo\nanna,1500\n",
+            "fixtures": "white,black\nanna,bert\n",
+        }
+        inputs[oversized] += "x" * (csv.field_size_limit() + 1) + ",bert\n"
+        for name, text in inputs.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        out = tmp_path / "out.csv"
+        argv = {
+            "rate": ["rate", "--games", tmp_path / "games.csv",
+                     "--out-snapshot", out, "--report", tmp_path / "report.csv"],
+            "optimize": ["optimize", "--games", tmp_path / "games.csv", "--train-until", 1,
+                         "--out", out, "--trace", tmp_path / "trace.csv"],
+            "predict": ["predict", "--snapshot", snap, "--fixtures", tmp_path / "fixtures.csv",
+                        "--out", out],
+        }[command]
+        if oversized == "ratings":
+            argv += ["--ratings", tmp_path / "ratings.csv"]
+        before = sorted(tmp_path.iterdir())
+        assert run(argv) == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: field larger than field limit") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_simulate_with_an_unopenable_strengths_file_writes_no_games(
         self, tmp_path, capsys
     ):

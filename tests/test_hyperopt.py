@@ -23,6 +23,12 @@ def belief(mu, sigma, pid="x"):
     return PlayerBelief(pid, mu, sigma)
 
 
+def predicted(white, black, outcome, h):
+    """Belief-integrated probability of one game's realized outcome."""
+    p = hyperopt.predictive_probability_array(white.mu, white.sigma, black.mu, black.sigma, h)
+    return float(p[model.outcome_index(outcome)])
+
+
 class TestPredictiveProbability:
     # (white_mu, white_sd, black_mu, black_sd) -> (p_win, p_draw, p_loss)
     FROZEN = [
@@ -54,14 +60,6 @@ class TestPredictiveProbability:
         p = hyperopt.predictive_probability_array(1.2, tiny, 0.3, tiny, H2)
         point = model.probability_array(1.2, 0.3, 1.0, H2)
         np.testing.assert_allclose(p, point, atol=1e-8)
-
-    def test_game_predictive_likelihood_scalar_path(self):
-        w, b = belief(0.4, 0.8), belief(1.1, 0.6, "b")
-        p = hyperopt.predictive_probability_array(0.4, 0.8, 1.1, 0.6, H2)
-        for y, idx in [(1.0, 0), (0.5, 1), (0.0, 2)]:
-            assert hyperopt.game_predictive_likelihood(w, b, y, H2) == pytest.approx(
-                float(p[idx])
-            )
 
 
 class TestGamesByPeriod:
@@ -131,9 +129,7 @@ class TestEvaluateHyperparameters:
             games, H2, CFG, train_until=1, initial_state=state
         )
         trained = engine.run_period(state, games[:1], H2, CFG).state
-        expected = math.log(
-            hyperopt.game_predictive_likelihood(trained["a"], trained["b"], 0.5, H2)
-        )
+        expected = math.log(predicted(trained["a"], trained["b"], 0.5, H2))
         assert ev.per_period_loglik[0] == pytest.approx(expected, abs=1e-12)
 
     def test_unknown_players_use_default_prior(self):
@@ -153,9 +149,7 @@ class TestEvaluateHyperparameters:
         ev = hyperopt.evaluate_hyperparameters(
             games, H2, CFG, train_until=1, initial_state=state
         )
-        expected = math.log(
-            hyperopt.game_predictive_likelihood(trained["w"], trained["b"], 1.0, H2)
-        )
+        expected = math.log(predicted(trained["w"], trained["b"], 1.0, H2))
         assert math.isfinite(ev.total)
         assert ev.per_period_loglik[0] == pytest.approx(expected, abs=1e-12)
 
@@ -488,7 +482,7 @@ class TestReplayGuard:
             period_games = grouped.get(period, [])
             if period > 2:
                 expected.append(math.fsum(
-                    math.log(hyperopt.game_predictive_likelihood(
+                    math.log(predicted(
                         state.get(g.white_id) or CFG.default_belief(g.white_id),
                         state.get(g.black_id) or CFG.default_belief(g.black_id),
                         g.outcome, h,

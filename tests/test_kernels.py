@@ -25,7 +25,7 @@ HYPERS = [
 ]
 # strengths where exp underflows (+/-800) or nearly does (+/-40)
 EXTREMES = np.array([-800.0, -40.0, -3.0, -0.5, 0.0, 0.7, 2.0, 40.0, 800.0])
-ORDERS = [1, 3, 9]
+ORDERS = [1, 3, 9, 20, 50]
 
 
 def ref_log_probability_array(theta_i, theta_j, color, h):
@@ -103,6 +103,12 @@ def assert_identical(actual, expected):
     for got, want in zip(actual, expected):
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def _game_count(n, order):
+    """At most ``n`` games, fewer at high order to keep the stacked
+    reference's (games, order, order, 3) grid small."""
+    return min(n, 270_000 // order**2)
 
 
 def _games(n, seed, scale=3.0):
@@ -200,11 +206,12 @@ class TestObservedScoring:
     @pytest.mark.parametrize("h", HYPERS)
     @pytest.mark.parametrize("order", ORDERS)
     def test_matches_indexing_the_stacked_integral(self, h, order):
-        wmu, wsd, bmu, bsd, observed = _games(3000, order)
+        n = _game_count(3000, order)
+        wmu, wsd, bmu, bsd, observed = _games(n, order)
         wmu[:len(EXTREMES)], bmu[:len(EXTREMES)] = EXTREMES, EXTREMES[::-1]
         got = hyperopt._observed_probability(wmu, wsd, bmu, bsd, observed, h, order)
         want = ref_observed_probability(wmu, wsd, bmu, bsd, observed, h, order)
-        assert got.shape == want.shape == (3000,)
+        assert got.shape == want.shape == (n,)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("order", ORDERS)
@@ -236,13 +243,22 @@ class TestPredictiveProbability:
 
     @pytest.mark.parametrize("h", HYPERS)
     @pytest.mark.parametrize("order", ORDERS)
-    def test_array_beliefs(self, h, order):
-        wmu, wsd, bmu, bsd, _ = _games(500, 10 + order)
+    def test_array_beliefs(self, h, order, monkeypatch):
+        """The broadcast form on many games, one game and a broadcast grid;
+        the chunked n-game form ``predictive_probability_rows`` at the default
+        chunk size and at one game per chunk."""
+        games = _games(_game_count(500, order), 10 + order)[:4]
+        one_game = tuple(x[:1] for x in games)
         for args in [
-            (wmu, wsd, bmu, bsd),
+            games,
+            one_game,
             (EXTREMES[:, None], 0.5, EXTREMES[None, :], np.array([[0.2], [0.9]])[:, :, None]),
         ]:
             got = hyperopt.predictive_probability_array(*args, h, order)
             want = ref_predictive_probability_array(*args, h, order)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+        want = ref_predictive_probability_array(*games, h, order)
+        assert np.array_equal(hyperopt.predictive_probability_rows(*games, h, order), want)
+        monkeypatch.setattr(oracle, "GRID_CHUNK", order * order)
+        assert np.array_equal(hyperopt.predictive_probability_rows(*games, h, order), want)
