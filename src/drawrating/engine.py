@@ -15,6 +15,7 @@ belief columns, and ``run_period`` is its dict-in, dict-out form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -109,31 +110,24 @@ class PeriodResult:
     rejected: list = field(default_factory=list)
 
 
-def _delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_override):
-    """Vectorized game-term computation; all inputs broadcast to 1-D.
+def _delta_arrays(focal_mu, opp_mu, opp_sigma, win, draw, color, h, draw_score_override):
+    """Vectorized game-term computation over inputs that broadcast to 1-D.
 
-    The outcome model is evaluated at opponent nodes mu_j - sigma_j and
-    mu_j + sigma_j with the focal strength fixed at its prior mean.  The
+    ``win`` and ``draw`` are boolean masks of the observed outcome from the
+    focal player's side (neither: a loss).  The outcome model is evaluated
+    at opponent nodes mu_j - sigma_j and mu_j + sigma_j, the rows of one
+    (2, n) block, with the focal strength fixed at its prior mean.  The
     equal 1/2 node weights cancel between numerator and denominator of the
     delta terms; p_observed keeps the uncancelled two-node sum.
     """
-    focal_mu, opp_mu, opp_sigma, outcome, color = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(x, dtype=float))
-          for x in (focal_mu, opp_mu, opp_sigma, outcome, color))
-    )
-    a = tuple(model.score_coefficient_array(color, h, draw_score_override).T)
-    observed = (2.0 - 2.0 * outcome).astype(np.intp)  # 1, 0.5, 0 -> 0, 1, 2
-    a_y = np.choose(observed, a)
-    p_obs = num1 = num2 = 0.0
-    for node in (-1.0, 1.0):
-        p = tuple(map(np.exp, model.log_probability_columns(
-            focal_mu, opp_mu + node * opp_sigma, color, h
-        )))
-        p_y = np.choose(observed, p)
-        d1, d2 = model.derivative_arrays(p, a, p_y, a_y)
-        p_obs = p_obs + p_y
-        num1 = num1 + d1
-        num2 = num2 + d2
+    a = model.score_coefficient_columns(color, h, draw_score_override)
+    p = tuple(map(np.exp, model.log_probability_columns(
+        focal_mu, opp_mu + np.array([[-1.0], [1.0]]) * opp_sigma, color, h
+    )))
+    p_y = model.observed_column(win, draw, p)
+    d1, d2 = model.derivative_arrays(p, a, p_y, model.observed_column(win, draw, a))
+    # each node row is added to 0.0 in turn, so a zero term sums as +0.0
+    p_obs, num1, num2 = ((0.0 + rows[0]) + rows[1] for rows in (p_y, d1, d2))
     # p_obs can underflow to exactly 0 for pathological hyperparameters;
     # the resulting NaNs are caught by the precision check downstream
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -151,11 +145,11 @@ def game_term(
     cfg: EngineConfig,
 ) -> GameTerm:
     """Derivative contributions of one game, evaluated at the focal prior mean."""
-    model.outcome_index(outcome)
+    observed = model.outcome_index(outcome)
     if opponent.sigma <= 0 or focal.sigma <= 0:
         raise ValueError("beliefs need positive sigma")
     d1, d2, p = _delta_arrays(
-        focal.mu, opponent.mu, opponent.sigma, outcome, color, h,
+        focal.mu, opponent.mu, opponent.sigma, observed == 0, observed == 1, color, h,
         cfg.draw_score_override,
     )
     if not (p[0] > 0):
@@ -169,7 +163,8 @@ def _newton_step(player_ids, mu, sigma, sum1, sum2):
     """One Newton-Raphson step at the prior mean: (posterior mean, posterior sd).
 
     Takes floats or matching arrays of summed game terms; ``player_ids``
-    lists the players in the same order, for the error message.
+    lists the players in the same order, for the error message.  It is
+    iterated only when a step fails, so it may be a lazy iterator.
     """
     precision = sigma**-2 - sum2
     bad = np.atleast_1d(~(np.isfinite(precision) & (precision > 0)))
@@ -226,21 +221,23 @@ def games_by_period(games: list) -> dict:
 
 @dataclass(frozen=True)
 class CompiledPeriod:
-    """One period's valid games as player-index arrays.
+    """One period's valid games as player-index arrays and outcome masks.
 
-    ``white``, ``black`` and ``observed`` (outcome index from white's side)
-    keep the input order, for scoring.  The directed terms ``focal``,
-    ``opp``, ``outcome`` and ``color``, two per game, are sorted by
-    (focal, opp, outcome, color), so every sum over them runs in a fixed
-    order whatever the input order.
+    ``white``, ``black``, ``white_won`` and ``drawn`` keep the input order,
+    for scoring.  The directed terms ``focal``, ``opp``, ``win`` and ``draw``
+    (the focal player's outcome masks) and ``color``, two per game, are
+    sorted by (focal, opp, outcome, color), so every sum over them runs in
+    a fixed order whatever the input order.
     """
 
     white: np.ndarray
     black: np.ndarray
-    observed: np.ndarray
+    white_won: np.ndarray
+    drawn: np.ndarray
     focal: np.ndarray
     opp: np.ndarray
-    outcome: np.ndarray
+    win: np.ndarray
+    draw: np.ndarray
     color: np.ndarray
 
 
@@ -263,18 +260,19 @@ class CompiledHistory:
 
 
 def _compile_period(games: list, index: dict) -> CompiledPeriod:
-    """Index arrays of already validated games."""
+    """Index arrays and outcome masks of already validated games."""
     white = np.array([index[g.white_id] for g in games], dtype=np.intp)
     black = np.array([index[g.black_id] for g in games], dtype=np.intp)
     observed = np.array([model.outcome_index(g.outcome) for g in games], dtype=np.intp)
-    y = np.array([float(g.outcome) for g in games])
     focal = np.concatenate([white, black])
     opp = np.concatenate([black, white])
-    outcome = np.concatenate([y, 1.0 - y])
+    outcome = np.concatenate([observed, 2 - observed])  # from the focal side
     color = np.repeat([1.0, -1.0], len(games))
-    order = np.lexsort((color, outcome, opp, focal))
+    # ascending outcome value (loss, draw, win) is descending index
+    order = np.lexsort((color, -outcome, opp, focal))
     return CompiledPeriod(
-        white, black, observed, focal[order], opp[order], outcome[order], color[order]
+        white, black, observed == 0, observed == 1,
+        focal[order], opp[order], (outcome == 0)[order], (outcome == 1)[order], color[order],
     )
 
 
@@ -337,13 +335,14 @@ def filter_period(period: CompiledPeriod, ids, mu, sigma, tracked, h: Hyperparam
         tracked[period.focal] = True
         d1, d2, _ = _delta_arrays(
             mu[period.focal], mu[period.opp], sigma[period.opp],
-            period.outcome, period.color, h, cfg.draw_score_override,
+            period.win, period.draw, period.color, h, cfg.draw_score_override,
         )
         active = counts > 0
         sum1 = np.bincount(period.focal, weights=d1, minlength=len(mu))
         sum2 = np.bincount(period.focal, weights=d2, minlength=len(mu))
         mu[active], sigma[active] = _newton_step(
-            ids[active], mu[active], sigma[active], sum1[active], sum2[active]
+            itertools.compress(ids, active), mu[active], sigma[active],
+            sum1[active], sum2[active],
         )
     sigma_post = sigma.copy()
     grow = tracked & (sigma < cfg.sigma_cap)

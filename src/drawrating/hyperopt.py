@@ -130,16 +130,18 @@ def predictive_probability_rows(
 
 
 def _observed_probability(
-    white_mu, white_sigma, black_mu, black_sigma, observed, h: Hyperparameters, order: int
+    white_mu, white_sigma, black_mu, black_sigma, white_won, drawn, h: Hyperparameters,
+    order: int,
 ) -> np.ndarray:
     """Belief-integrated probability of each game's observed outcome.
 
     The scoring form of ``predictive_probability_array``: only the observed
-    outcome's column is exponentiated.
+    outcome's column, picked by the masks ``white_won`` and ``drawn``, is
+    exponentiated.
     """
     columns, w2 = _node_grid(white_mu, white_sigma, black_mu, black_sigma, h, order)
-    terms = np.exp(np.choose(observed, columns)) * w2
-    return _pair_sum(terms, order, len(observed))
+    terms = np.exp(model.observed_column(white_won, drawn, columns)) * w2
+    return _pair_sum(terms, order, len(white_won))
 
 
 def evaluate_hyperparameters(
@@ -183,8 +185,8 @@ def evaluate_hyperparameters(
             if n:
                 white, black = period.white, period.black
                 p = _observed_probability(
-                    mu[white], sigma[white], mu[black], sigma[black], period.observed,
-                    h, order,
+                    mu[white], sigma[white], mu[black], sigma[black], period.white_won,
+                    period.drawn, h, order,
                 )
                 with np.errstate(divide="ignore"):  # an underflown outcome scores -inf
                     loglik = float(np.log(p).sum())

@@ -116,14 +116,19 @@ def outcome_probabilities(
     return probability_array(theta_i, theta_j, color, h)
 
 
-def score_coefficient_array(color, h: Hyperparameters, draw_score_override: bool) -> np.ndarray:
-    """Score coefficients (a_win, a_draw, a_loss) on the last axis; broadcasts."""
+def score_coefficient_columns(color, h: Hyperparameters, draw_score_override: bool):
+    """Score coefficients (a_win, a_draw, a_loss) as three arrays of ``color``'s shape."""
     color = np.asarray(color, dtype=float)
     a_win = 1.0 + color * h.alpha1 / 8.0
     a_loss = -color * h.alpha1 / 8.0
     a_draw_value = 0.5 if draw_score_override else (1.0 + h.beta1) / 2.0
-    a_draw = np.full_like(a_win, a_draw_value)
-    return np.stack(np.broadcast_arrays(a_win, a_draw, a_loss), axis=-1)
+    return a_win, np.full_like(a_win, a_draw_value), a_loss
+
+
+def observed_column(win, draw, columns):
+    """The (win, draw, loss) ``columns``' entry picked by the boolean masks
+    ``win`` and ``draw`` (neither: the loss entry); broadcasts."""
+    return np.where(win, columns[0], np.where(draw, columns[1], columns[2]))
 
 
 def score_coefficients(
@@ -142,7 +147,7 @@ def score_coefficients(
     order, scales as beta1 * sigma**4.
     """
     _check_color(color)
-    return score_coefficient_array(color, h, draw_score_override)
+    return np.stack(score_coefficient_columns(color, h, draw_score_override), axis=-1)
 
 
 def derivative_arrays(p, a, p_c, a_c):
@@ -177,7 +182,7 @@ def probability_derivatives(
         raise ValueError(f"strengths must be finite, got {theta_i}, {theta_j}")
     _check_color(color)
     p = probability_array(theta_i, theta_j, color, h)
-    a = score_coefficient_array(color, h, draw_score_override)
+    a = score_coefficients(color, h, draw_score_override)
     first, second = derivative_arrays(p, a, p, a)
     return tuple(float(v) for v in first), tuple(float(v) for v in second)
 

@@ -70,11 +70,12 @@ def grid_chunks(n: int, order: int) -> list:
     return [slice(k, min(k + step, n)) for k in range(0, n, step)]
 
 
-def posterior_moments(focal_mu, focal_sigma, opp_mu, opp_sigma, observed, color,
+def posterior_moments(focal_mu, focal_sigma, opp_mu, opp_sigma, win, draw, color,
                       h: Hyperparameters, order: int):
     """Posterior mean and second moment of the focal strength, one game per element.
 
-    Takes 1-D arrays; ``observed`` holds outcome indices (``model.outcome_index``).
+    Takes 1-D arrays; ``win`` and ``draw`` mask the observed outcome from the
+    focal player's side (neither: a loss).
     Each game's (order, order) tensor grid, focal player on the first axis,
     is kept in log space so extreme nodes cannot overflow.  A game whose
     realized outcome has zero probability at every node pair gets a NaN
@@ -87,9 +88,10 @@ def posterior_moments(focal_mu, focal_sigma, opp_mu, opp_sigma, observed, color,
     for part in grid_chunks(len(focal_mu), order):
         theta_i = focal_mu[part, None] + (math.sqrt(2.0) * focal_sigma[part, None]) * rule.nodes
         theta_j = opp_mu[part, None] + (math.sqrt(2.0) * opp_sigma[part, None]) * rule.nodes
-        logp = np.choose(observed[part, None, None], model.log_probability_columns(
+        columns = model.log_probability_columns(
             theta_i[:, :, None], theta_j[:, None, :], color[part, None, None], h
-        ))
+        )
+        logp = model.observed_column(win[part, None, None], draw[part, None, None], columns)
         log_terms = log_w2 + logp
         shift = log_terms.max(axis=(1, 2))
         with np.errstate(invalid="ignore"):  # a non-finite shift gives NaN moments
@@ -134,11 +136,11 @@ def oracle_posterior(
     The one-game call of ``posterior_moments``.
     """
     _check_order(order)
+    observed = np.array([model.outcome_index(outcome)])
     mean, second = posterior_moments(
         *(np.array([v], dtype=float) for v in
           (focal.mu, focal.sigma, opponent.mu, opponent.sigma)),
-        np.array([model.outcome_index(outcome)]), np.array([color], dtype=float),
-        h, order,
+        observed == 0, observed == 1, np.array([color], dtype=float), h, order,
     )
     return _posterior(float(mean[0]), float(second[0]))
 
@@ -228,6 +230,7 @@ def compare_updates(
     valid = [k is not None and f.sigma > 0 and o.sigma > 0
              for k, f, o in zip(index, focal, opponent)]
     observed = np.array([k or 0 for k in index])  # a stand-in win where invalid
+    win, draw = observed == 0, observed == 1
     focal_mu, focal_sigma, opp_mu, opp_sigma = (
         np.array([getattr(b, field) for b in beliefs])
         for beliefs, field in ((focal, "mu"), (focal, "sigma"),
@@ -235,11 +238,10 @@ def compare_updates(
     )
     color = np.array(color, dtype=float)
     d1, d2, p_obs = engine._delta_arrays(
-        focal_mu, opp_mu, opp_sigma, 1.0 - 0.5 * observed, color, h,
-        cfg.draw_score_override,
+        focal_mu, opp_mu, opp_sigma, win, draw, color, h, cfg.draw_score_override,
     )
     mean, second = posterior_moments(
-        focal_mu, focal_sigma, opp_mu, opp_sigma, observed, color, h, order
+        focal_mu, focal_sigma, opp_mu, opp_sigma, win, draw, color, h, order
     )
 
     approx_dmu, oracle_dmu = [], []

@@ -8,6 +8,12 @@ derivative sums by ``einsum`` with the observed outcome picked by
 outcomes on a (..., order, order, 3) grid before indexing one.  Every
 comparison is exact (``np.array_equal``): the per-column kernels must add
 and multiply in the same order, not merely agree to rounding.
+
+A second set of references is the per-column form the package used before
+it compiled outcome masks: the game-term kernel decoding float outcomes and
+picking columns with ``np.choose``, one opponent node at a time, the
+scoring form picking its column with ``np.choose``, and the period compiler
+and filter step built on them.
 """
 
 import math
@@ -15,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from drawrating import engine, hyperopt, model, oracle
+from drawrating import engine, hyperopt, model, oracle, simulate, store
 from drawrating.model import Hyperparameters
 
 HYPERS = [
@@ -64,7 +70,7 @@ def ref_delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_
         *(np.atleast_1d(np.asarray(x, dtype=float))
           for x in (focal_mu, opp_mu, opp_sigma, outcome, color))
     )
-    a = model.score_coefficient_array(color, h, draw_score_override)
+    a = np.stack(model.score_coefficient_columns(color, h, draw_score_override), axis=-1)
     observed = (2.0 - 2.0 * outcome).astype(int)[:, None]
     p_obs = num1 = num2 = 0.0
     for node in (-1.0, 1.0):
@@ -77,6 +83,70 @@ def ref_delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_
         delta1 = num1 / p_obs
         delta2 = num2 / p_obs - delta1**2
     return delta1, delta2, p_obs
+
+
+def choose_delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_override):
+    focal_mu, opp_mu, opp_sigma, outcome, color = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, dtype=float))
+          for x in (focal_mu, opp_mu, opp_sigma, outcome, color))
+    )
+    a = model.score_coefficient_columns(color, h, draw_score_override)
+    observed = (2.0 - 2.0 * outcome).astype(np.intp)  # 1, 0.5, 0 -> 0, 1, 2
+    a_y = np.choose(observed, a)
+    p_obs = num1 = num2 = 0.0
+    for node in (-1.0, 1.0):
+        p = tuple(map(np.exp, model.log_probability_columns(
+            focal_mu, opp_mu + node * opp_sigma, color, h
+        )))
+        p_y = np.choose(observed, p)
+        d1, d2 = model.derivative_arrays(p, a, p_y, a_y)
+        p_obs = p_obs + p_y
+        num1 = num1 + d1
+        num2 = num2 + d2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta1 = num1 / p_obs
+        delta2 = num2 / p_obs - delta1**2
+    return delta1, delta2, p_obs
+
+
+def choose_compile_period(games, index):
+    """(focal, opp, outcome, color) directed terms with float outcomes."""
+    white = np.array([index[g.white_id] for g in games], dtype=np.intp)
+    black = np.array([index[g.black_id] for g in games], dtype=np.intp)
+    y = np.array([float(g.outcome) for g in games])
+    focal = np.concatenate([white, black])
+    opp = np.concatenate([black, white])
+    outcome = np.concatenate([y, 1.0 - y])
+    color = np.repeat([1.0, -1.0], len(games))
+    order = np.lexsort((color, outcome, opp, focal))
+    return focal[order], opp[order], outcome[order], color[order]
+
+
+def choose_filter_period(terms, ids, mu, sigma, tracked, h, cfg):
+    focal, opp, outcome, color = terms
+    counts = np.bincount(focal, minlength=len(mu))
+    if focal.size:
+        tracked[focal] = True
+        d1, d2, _ = choose_delta_arrays(
+            mu[focal], mu[opp], sigma[opp], outcome, color, h, cfg.draw_score_override
+        )
+        active = counts > 0
+        sum1 = np.bincount(focal, weights=d1, minlength=len(mu))
+        sum2 = np.bincount(focal, weights=d2, minlength=len(mu))
+        mu[active], sigma[active] = engine._newton_step(
+            ids[active], mu[active], sigma[active], sum1[active], sum2[active]
+        )
+    sigma_post = sigma.copy()
+    grow = tracked & (sigma < cfg.sigma_cap)
+    sigma[grow] = np.sqrt(np.float_power(sigma[grow], 2.0) + h.tau**2)
+    return counts, sigma_post
+
+
+def choose_observed_probability(white_mu, white_sigma, black_mu, black_sigma, observed, h,
+                                order):
+    columns, w2 = hyperopt._node_grid(white_mu, white_sigma, black_mu, black_sigma, h, order)
+    terms = np.exp(np.choose(observed, columns)) * w2
+    return hyperopt._pair_sum(terms, order, len(observed))
 
 
 def ref_predictive_probability_array(white_mu, white_sigma, black_mu, black_sigma, h, order):
@@ -98,11 +168,26 @@ def ref_observed_probability(white_mu, white_sigma, black_mu, black_sigma, obser
     return p[np.arange(len(observed)), observed]
 
 
+def masks(outcome):
+    """(win, draw) masks of float outcomes."""
+    outcome = np.asarray(outcome)
+    return outcome == model.WIN, outcome == model.DRAW
+
+
+def index_masks(observed):
+    """(win, draw) masks of outcome indices."""
+    return observed == 0, observed == 1
+
+
 def assert_identical(actual, expected):
+    """Equal shapes and values, NaNs in the same places, and zeros of the
+    same sign."""
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want, equal_nan=True)
+        zeros = np.asarray(want) == 0
+        assert np.array_equal(np.signbit(got)[zeros], np.signbit(want)[zeros])
 
 
 def _game_count(n, order):
@@ -168,12 +253,19 @@ class TestProbabilityDerivatives:
         for ti in EXTREMES:
             for tj in EXTREMES:
                 p = ref_probability_array(float(ti), float(tj), color, h)
-                a = model.score_coefficient_array(color, h, override)
+                a = model.score_coefficients(color, h, override)
                 _, first, second = ref_derivative_arrays(p, a, np.arange(3))
                 got = model.probability_derivatives(
                     float(ti), float(tj), color, h, draw_score_override=override
                 )
                 assert got == (tuple(first.tolist()), tuple(second.tolist()))
+
+
+def delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_override):
+    """``engine._delta_arrays`` of float outcomes."""
+    return engine._delta_arrays(
+        focal_mu, opp_mu, opp_sigma, *masks(outcome), color, h, draw_score_override
+    )
 
 
 class TestDeltaArrays:
@@ -188,18 +280,30 @@ class TestDeltaArrays:
         outcome = rng.choice([1.0, 0.5, 0.0], len(focal))
         color = rng.choice([1.0, -1.0], len(focal))
         args = (focal, opp, sigma, outcome, color, h, override)
-        assert_identical(engine._delta_arrays(*args), ref_delta_arrays(*args))
+        assert_identical(delta_arrays(*args), ref_delta_arrays(*args))
+        assert_identical(delta_arrays(*args), choose_delta_arrays(*args))
 
     @pytest.mark.parametrize("h", HYPERS)
     @pytest.mark.parametrize("override", [True, False])
     @pytest.mark.parametrize("outcome", [1.0, 0.5, 0.0])
     @pytest.mark.parametrize("color", [1, -1])
     def test_scalar_and_broadcast_terms(self, h, override, outcome, color):
-        for focal in (0.3, -40.0, 800.0):
+        for focal in (0.3, -40.0, -800.0, 800.0):
             args = (focal, EXTREMES, 0.6, outcome, color, h, override)
-            assert_identical(engine._delta_arrays(*args), ref_delta_arrays(*args))
+            assert_identical(delta_arrays(*args), ref_delta_arrays(*args))
+            assert_identical(delta_arrays(*args), choose_delta_arrays(*args))
             args = (focal, 1.2, 0.4, outcome, color, h, override)
-            assert_identical(engine._delta_arrays(*args), ref_delta_arrays(*args))
+            assert_identical(delta_arrays(*args), ref_delta_arrays(*args))
+            assert_identical(delta_arrays(*args), choose_delta_arrays(*args))
+
+    @pytest.mark.parametrize("override", [True, False])
+    def test_one_term_and_no_terms(self, override):
+        for n in (1, 0):
+            args = (np.full(n, 0.4), np.full(n, -0.2), np.full(n, 0.7), np.full(n, 0.5),
+                    np.full(n, -1.0), HYPERS[1], override)
+            got = delta_arrays(*args)
+            assert [x.shape for x in got] == [(n,)] * 3
+            assert_identical(got, choose_delta_arrays(*args))
 
 
 class TestObservedScoring:
@@ -209,21 +313,161 @@ class TestObservedScoring:
         n = _game_count(3000, order)
         wmu, wsd, bmu, bsd, observed = _games(n, order)
         wmu[:len(EXTREMES)], bmu[:len(EXTREMES)] = EXTREMES, EXTREMES[::-1]
-        got = hyperopt._observed_probability(wmu, wsd, bmu, bsd, observed, h, order)
+        got = hyperopt._observed_probability(
+            wmu, wsd, bmu, bsd, *index_masks(observed), h, order
+        )
         want = ref_observed_probability(wmu, wsd, bmu, bsd, observed, h, order)
         assert got.shape == want.shape == (n,)
         assert np.array_equal(got, want)
+        assert np.array_equal(
+            got, choose_observed_probability(wmu, wsd, bmu, bsd, observed, h, order)
+        )
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_small_periods(self, order, n):
         """A one-game period must not fall back to a pairwise node sum."""
         for seed in range(40):
-            games = _games(n, 100 * order + seed)
-            got = hyperopt._observed_probability(*games, HYPERS[1], order)
-            want = ref_observed_probability(*games, HYPERS[1], order)
+            *beliefs, observed = _games(n, 100 * order + seed)
+            got = hyperopt._observed_probability(
+                *beliefs, *index_masks(observed), HYPERS[1], order
+            )
+            want = ref_observed_probability(*beliefs, observed, HYPERS[1], order)
             assert got.shape == want.shape == (n,)
             assert np.array_equal(got, want)
+            assert np.array_equal(
+                got, choose_observed_probability(*beliefs, observed, HYPERS[1], order)
+            )
+
+
+def _league(seed):
+    """Valid games by period and the starting priors of a bench-size league."""
+    league = simulate.simulate_league(
+        simulate.LeagueConfig(150, 8, 1500, "uniform-random", 2.0, 1.5, seed=seed),
+        model.DEFAULT_HYPERPARAMETERS,
+    )
+    state = store.initialize_priors(simulate.initial_ratings(league), engine.EngineConfig())
+    return league.games, state
+
+
+def _all_outcomes_period():
+    """Every ordered pair of six players once, cycling through the outcomes."""
+    players = [f"q{k}" for k in range(6)]
+    pairs = [(w, b) for w in players for b in players if w != b]
+    return [store.GameRecord(1, w, b, (1.0, 0.5, 0.0)[k % 3]) for k, (w, b) in enumerate(pairs)]
+
+
+def _filter_both(games, ids, mu, sigma, h, cfg):
+    """``engine.filter_period`` and the ``np.choose`` reference on one period:
+    each gives (mu, sigma, tracked, counts, sigma_post) or its error message."""
+    index = {pid: k for k, pid in enumerate(ids)}
+    results = []
+    for step, period in ((engine.filter_period, engine._compile_period(games, index)),
+                         (choose_filter_period, choose_compile_period(games, index))):
+        m, s, tracked = mu.copy(), sigma.copy(), np.zeros(len(mu), dtype=bool)
+        try:
+            counts, sigma_post = step(period, ids, m, s, tracked, h, cfg)
+        except engine.DegenerateUpdateError as error:
+            results.append(str(error))
+        else:
+            results.append((m, s, tracked, counts, sigma_post))
+    return results
+
+
+def assert_same_filter(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_identical(got, want)
+
+
+class TestCompiledPeriods:
+    def test_masks_match_the_outcome_index(self):
+        """Every game's and every directed term's masks, all three outcomes
+        from both colours."""
+        games = _all_outcomes_period()
+        ids = sorted({g.white_id for g in games})
+        period = engine._compile_period(games, {pid: k for k, pid in enumerate(ids)})
+        observed = np.array([model.outcome_index(g.outcome) for g in games])
+        assert np.array_equal(period.white_won, observed == 0)
+        assert np.array_equal(period.drawn, observed == 1)
+        by_pair = {(g.white_id, g.black_id): g.outcome for g in games}
+        expected = [
+            model.outcome_index(
+                by_pair[ids[f], ids[o]] if c == 1.0 else 1.0 - by_pair[ids[o], ids[f]]
+            )
+            for f, o, c in zip(period.focal.tolist(), period.opp.tolist(), period.color.tolist())
+        ]
+        assert sorted(zip(period.color.tolist(), expected)) == sorted(
+            [(1.0, k) for k in observed.tolist()] + [(-1.0, 2 - k) for k in observed.tolist()]
+        )
+        assert set(zip(period.color.tolist(), expected)) == {
+            (c, k) for c in (1.0, -1.0) for k in (0, 1, 2)
+        }
+        assert np.array_equal(period.win, np.array(expected) == 0)
+        assert np.array_equal(period.draw, np.array(expected) == 1)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_terms_keep_the_float_outcome_order(self, seed):
+        games, state = _league(seed)
+        history = engine.compile_history(games, state, engine.EngineConfig())
+        index = {pid: k for k, pid in enumerate(history.ids)}
+        for number, period in enumerate(history.periods, start=1):
+            focal, opp, outcome, color = choose_compile_period(
+                [g for g in games if g.period == number], index
+            )
+            assert np.array_equal(period.focal, focal)
+            assert np.array_equal(period.opp, opp)
+            assert np.array_equal(period.color, color)
+            assert np.array_equal(period.win, outcome == 1.0)
+            assert np.array_equal(period.draw, outcome == 0.5)
+
+    @pytest.mark.parametrize("h", HYPERS)
+    @pytest.mark.parametrize("override", [True, False])
+    def test_filter_matches_the_choose_kernel(self, h, override):
+        """Every period of a bench-size league, filtered in turn."""
+        cfg = engine.EngineConfig(draw_score_override=override)
+        games, state = _league(1)
+        history = engine.compile_history(games, state, cfg)
+        index = {pid: k for k, pid in enumerate(history.ids)}
+        mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
+        ref_mu, ref_sigma, ref_tracked = mu.copy(), sigma.copy(), tracked.copy()
+        for number, period in enumerate(history.periods, start=1):
+            got = engine.filter_period(period, history.ids, mu, sigma, tracked, h, cfg)
+            want = choose_filter_period(
+                choose_compile_period([g for g in games if g.period == number], index),
+                history.ids, ref_mu, ref_sigma, ref_tracked, h, cfg,
+            )
+            assert_identical((mu, sigma, tracked, *got),
+                             (ref_mu, ref_sigma, ref_tracked, *want))
+
+    @pytest.mark.parametrize("h", HYPERS)
+    @pytest.mark.parametrize("override", [True, False])
+    def test_small_and_extreme_periods(self, h, override):
+        """A one-game period, an empty period, a period of every outcome and
+        colour, and strengths where exp underflows (+/-800); a degenerate step
+        names the same players."""
+        cfg = engine.EngineConfig(draw_score_override=override)
+        ids = np.array([f"q{k}" for k in range(len(EXTREMES))], dtype=object)
+        sigma = np.linspace(0.1, 0.69, len(EXTREMES))
+        favourites_win = [
+            store.GameRecord(1, ids[k], ids[4], 1.0 if EXTREMES[k] > 0 else 0.0)
+            for k in range(len(EXTREMES)) if k != 4
+        ]
+        raised = []
+        for games, mu in [
+            ([store.GameRecord(1, "q2", "q6", 0.5)], np.linspace(-1.0, 1.0, len(EXTREMES))),
+            ([], np.linspace(-1.0, 1.0, len(EXTREMES))),
+            (_all_outcomes_period(), np.linspace(-2.0, 2.0, len(EXTREMES))),
+            (favourites_win, EXTREMES),
+            (_all_outcomes_period(), EXTREMES),
+        ]:
+            got, want = _filter_both(games, ids, mu, sigma, h, cfg)
+            assert_same_filter(got, want)
+            raised.append(isinstance(got, str))
+        # every period steps but the last, whose losing favourites underflow
+        assert raised == [False, False, False, False, True]
 
 
 class TestPredictiveProbability:

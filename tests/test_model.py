@@ -190,7 +190,7 @@ class TestProbabilityDerivatives:
         ti, tj = np.linspace(-2.0, 6.0, 7), np.linspace(5.0, -1.0, 7)
         color = np.array([1, -1, 1, 1, -1, -1, 1])
         p = tuple(np.exp(model.log_probability_columns(ti, tj, color, h)))
-        a = tuple(np.moveaxis(model.score_coefficient_array(color, h, False), -1, 0))
+        a = model.score_coefficient_columns(color, h, False)
         full = [
             np.stack(terms, axis=-1)
             for terms in zip(*(model.derivative_arrays(p, a, p[k], a[k]) for k in range(3)))
