@@ -24,6 +24,18 @@ import numpy as np
 from . import model
 from .model import Hyperparameters
 
+#: float64 cells (64 KiB) per temporary of an array pass; a larger pass runs
+#: in chunks, so the heap reuses its temporaries instead of faulting in pages.
+GRID_CHUNK = 1 << 13
+
+
+def chunks(n: int, cells: int) -> list:
+    """Slices that cut ``n`` items of ``cells`` cells each into chunks of at
+    most ``GRID_CHUNK`` cells, and at least one item each; ``n`` items that
+    fit in ``GRID_CHUNK`` cells stay one chunk."""
+    step = max(1, GRID_CHUNK // cells)
+    return [slice(k, min(k + step, n)) for k in range(0, n, step)]
+
 
 class DegenerateUpdateError(ArithmeticError):
     """Raised when the posterior precision is non-positive.
@@ -33,6 +45,17 @@ class DegenerateUpdateError(ArithmeticError):
     indicates floating-point pathology; we refuse to clamp because a silent
     fixup would corrupt every downstream prior.
     """
+
+
+class InnovationOverflowError(ValueError):
+    """Raised when tau is so large that the innovation variance tau**2 overflows."""
+
+
+def _innovation_variance(h: Hyperparameters) -> float:
+    try:
+        return h.tau**2
+    except OverflowError:
+        raise InnovationOverflowError(f"tau {h.tau!r} is too large: its square overflows")
 
 
 @dataclass
@@ -195,7 +218,7 @@ def period_update(focal: PlayerBelief, terms: list[GameTerm]) -> PeriodUpdate:
 def advance_time(post: PlayerBelief, h: Hyperparameters, cfg: EngineConfig) -> PlayerBelief:
     """Next-period prior: add innovation variance unless the cap is reached."""
     if post.sigma < cfg.sigma_cap:
-        sigma = math.sqrt(post.sigma**2 + h.tau**2)
+        sigma = math.sqrt(post.sigma**2 + _innovation_variance(h))
     else:
         sigma = post.sigma
     return PlayerBelief(post.player_id, post.mu, sigma)
@@ -325,18 +348,23 @@ def filter_period(period: CompiledPeriod, ids, mu, sigma, tracked, h: Hyperparam
                   cfg: EngineConfig):
     """Fold one compiled period into the belief arrays, in place.
 
-    Every directed term is computed against the prior arrays; each player
-    with a game takes one Newton step; then every tracked player below the
-    cap is advanced in time (``advance_time``, vectorized bit for bit).
+    Every directed term is computed against the prior arrays, in ``chunks``
+    of two opponent nodes per term; each player with a game takes one
+    Newton step; then every tracked player below the cap is advanced in
+    time (``advance_time``, vectorized bit for bit).
     Returns the games per player and the posterior sd before the advance.
     """
     counts = np.bincount(period.focal, minlength=len(mu))
     if period.focal.size:
         tracked[period.focal] = True
-        d1, d2, _ = _delta_arrays(
-            mu[period.focal], mu[period.opp], sigma[period.opp],
-            period.win, period.draw, period.color, h, cfg.draw_score_override,
-        )
+        d1, d2 = np.empty((2, period.focal.size))
+        # each term is computed alone, so the chunking leaves every bit as it is
+        for part in chunks(period.focal.size, 2):
+            focal, opp = period.focal[part], period.opp[part]
+            d1[part], d2[part], _ = _delta_arrays(
+                mu[focal], mu[opp], sigma[opp], period.win[part], period.draw[part],
+                period.color[part], h, cfg.draw_score_override,
+            )
         active = counts > 0
         sum1 = np.bincount(period.focal, weights=d1, minlength=len(mu))
         sum2 = np.bincount(period.focal, weights=d2, minlength=len(mu))
@@ -347,7 +375,7 @@ def filter_period(period: CompiledPeriod, ids, mu, sigma, tracked, h: Hyperparam
     sigma_post = sigma.copy()
     grow = tracked & (sigma < cfg.sigma_cap)
     # float_power matches the scalar x**2 of advance_time; np.power does not
-    sigma[grow] = np.sqrt(np.float_power(sigma[grow], 2.0) + h.tau**2)
+    sigma[grow] = np.sqrt(np.float_power(sigma[grow], 2.0) + _innovation_variance(h))
     return counts, sigma_post
 
 

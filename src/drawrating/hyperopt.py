@@ -118,11 +118,11 @@ def predictive_probability_rows(
 ) -> np.ndarray:
     """``predictive_probability_array`` of n games given as 1-D arrays: (n, 3).
 
-    Games are integrated in chunks of ``oracle.grid_chunks``, so memory
-    stays bounded at any order.
+    Games are integrated in ``engine.chunks`` of ``order**2`` node pairs
+    each, so memory stays bounded at any order.
     """
     out = np.empty((len(white_mu), 3))
-    for part in oracle.grid_chunks(len(white_mu), order):
+    for part in engine.chunks(len(white_mu), order * order):
         out[part] = predictive_probability_array(
             white_mu[part], white_sigma[part], black_mu[part], black_sigma[part], h, order
         )
@@ -135,13 +135,17 @@ def _observed_probability(
 ) -> np.ndarray:
     """Belief-integrated probability of each game's observed outcome.
 
-    The scoring form of ``predictive_probability_array``: only the observed
+    The scoring form of ``predictive_probability_rows``: only the observed
     outcome's column, picked by the masks ``white_won`` and ``drawn``, is
-    exponentiated.
+    exponentiated, in ``engine.chunks`` of ``order**2`` node pairs per game.
     """
-    columns, w2 = _node_grid(white_mu, white_sigma, black_mu, black_sigma, h, order)
-    terms = np.exp(model.observed_column(white_won, drawn, columns)) * w2
-    return _pair_sum(terms, order, len(white_won))
+    p = np.empty(len(white_won))
+    for part in engine.chunks(len(white_won), order * order):
+        columns, w2 = _node_grid(white_mu[part], white_sigma[part], black_mu[part],
+                                 black_sigma[part], h, order)
+        terms = np.exp(model.observed_column(white_won[part], drawn[part], columns)) * w2
+        p[part] = _pair_sum(terms, order, part.stop - part.start)
+    return p
 
 
 def evaluate_hyperparameters(
@@ -242,9 +246,9 @@ def optimize(
     ``objective_fn`` (Hyperparameters -> float, larger is better) replaces
     the predictive evaluation when given; used for testing the search.
     Otherwise the history is compiled once and every evaluation replays it.
-    A candidate that raises ``DegenerateUpdateError``, or whose vector maps
-    to no valid hyperparameters, scores -inf; both count as evaluations,
-    and only the first kind is traced.  A start whose whole initial simplex
+    A candidate that raises ``DegenerateUpdateError`` or ``InnovationOverflowError``,
+    or whose vector maps to no valid hyperparameters, scores -inf; all count
+    as evaluations, and only the first two kinds are traced.  A start whose whole initial simplex
     scores -inf is stopped there and keeps its start point at -inf.
     """
     starts = default_starts() if starts is None else list(starts)
@@ -269,9 +273,9 @@ def optimize(
             return math.inf
         try:
             value = objective_fn(h)
-        except engine.DegenerateUpdateError:
-            # pathological candidate (probabilities underflow); score it as
-            # arbitrarily bad so the simplex backs off instead of aborting
+        except (engine.DegenerateUpdateError, engine.InnovationOverflowError):
+            # pathological candidate (probabilities underflow or tau**2 overflows);
+            # score it as arbitrarily bad so the simplex backs off instead of aborting
             value = -math.inf
         if trace is not None:
             trace.record(h, value)

@@ -74,12 +74,15 @@ def log_probability_columns(theta_i, theta_j, color, h: Hyperparameters):
     A closed-form three-way log-sum-exp: the largest logit is subtracted
     before exponentiating, so extreme strengths stay finite, and the three
     exponentials are added in the order numpy's length-3 ``sum`` uses.
+    Without a white advantage (``alpha0 == alpha1 == 0``) ``color`` is not
+    read; skipping its zero terms changes no value at a finite average strength.
     """
     avg = 0.5 * (theta_i + theta_j)
-    advantage = color * (h.alpha0 + h.alpha1 * avg) / 4.0
-    win = theta_i + advantage
+    win, loss = theta_i, theta_j
+    if h.alpha0 or h.alpha1:
+        advantage = color * (h.alpha0 + h.alpha1 * avg) / 4.0
+        win, loss = win + advantage, loss - advantage
     draw = h.beta0 + (1.0 + h.beta1) * avg
-    loss = theta_j - advantage
     top = np.maximum(np.maximum(win, draw), loss)
     win, draw, loss = win - top, draw - top, loss - top
     with np.errstate(divide="ignore"):  # exact zeros are legal probabilities
@@ -92,13 +95,11 @@ def log_probability_array(theta_i, theta_j, color, h: Hyperparameters) -> np.nda
 
     Inputs broadcast; the result gains a trailing axis of length 3.
     """
+    color = np.asarray(color, dtype=float)
     columns = log_probability_columns(
-        np.asarray(theta_i, dtype=float),
-        np.asarray(theta_j, dtype=float),
-        np.asarray(color, dtype=float),
-        h,
+        np.asarray(theta_i, dtype=float), np.asarray(theta_j, dtype=float), color, h
     )
-    return np.stack(np.broadcast_arrays(*columns), axis=-1)
+    return np.stack(np.broadcast_arrays(*columns, color)[:3], axis=-1)
 
 
 def probability_array(theta_i, theta_j, color, h: Hyperparameters) -> np.ndarray:

@@ -24,9 +24,6 @@ from .engine import EngineConfig, PlayerBelief
 from .model import Hyperparameters
 
 MAX_ORDER = 50
-#: Node pairs per array pass of a batched quadrature; larger batches run in
-#: chunks, so memory stays bounded at any order and batch size.
-GRID_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,13 +60,6 @@ def gh_rule(order: int) -> QuadratureRule:
     return QuadratureRule(order, nodes, weights)
 
 
-def grid_chunks(n: int, order: int) -> list:
-    """Slices that cut ``n`` games into chunks of at most ``GRID_CHUNK``
-    node pairs each (``order**2`` per game), and at least one game."""
-    step = max(1, GRID_CHUNK // (order * order))
-    return [slice(k, min(k + step, n)) for k in range(0, n, step)]
-
-
 def posterior_moments(focal_mu, focal_sigma, opp_mu, opp_sigma, win, draw, color,
                       h: Hyperparameters, order: int):
     """Posterior mean and second moment of the focal strength, one game per element.
@@ -79,13 +69,13 @@ def posterior_moments(focal_mu, focal_sigma, opp_mu, opp_sigma, win, draw, color
     Each game's (order, order) tensor grid, focal player on the first axis,
     is kept in log space so extreme nodes cannot overflow.  A game whose
     realized outcome has zero probability at every node pair gets a NaN
-    mean.  Games are evaluated in chunks of ``grid_chunks``.
+    mean.  Games run in ``engine.chunks`` of ``order**2`` node pairs each.
     """
     rule = gh_rule(order)
     logw = np.log(rule.weights)
     log_w2 = logw[:, None] + logw[None, :]
     mean, second = np.empty(len(focal_mu)), np.empty(len(focal_mu))
-    for part in grid_chunks(len(focal_mu), order):
+    for part in engine.chunks(len(focal_mu), order * order):
         theta_i = focal_mu[part, None] + (math.sqrt(2.0) * focal_sigma[part, None]) * rule.nodes
         theta_j = opp_mu[part, None] + (math.sqrt(2.0) * opp_sigma[part, None]) * rule.nodes
         columns = model.log_probability_columns(

@@ -212,15 +212,18 @@ def load_snapshot(stream) -> RatingSnapshot:
         h_parts = [float(v) for v in _expect(next_line(), "hyperparameters").split()]
         c_parts = _expect(next_line(), "config").split()
         count = int(_expect(next_line(), "players"))
+        if len(h_parts) != 5 or len(c_parts) != 5 or c_parts[1] not in ("0", "1"):
+            raise SnapshotFormatError("expected 5 hyperparameters and 5 config values, "
+                                      "with a draw override flag of 0 or 1")
         hyper = Hyperparameters(*h_parts)
         config = EngineConfig(
             sigma_cap=float(c_parts[0]),
-            draw_score_override=bool(int(c_parts[1])),
+            draw_score_override=c_parts[1] == "1",
             default_prior_elo=float(c_parts[2]),
             default_prior_sd_elo=float(c_parts[3]),
             rated_prior_sd_elo=float(c_parts[4]),
         )
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise SnapshotFormatError(f"malformed snapshot header: {exc}") from exc
 
     entries = []

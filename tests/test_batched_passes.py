@@ -135,20 +135,21 @@ def _two_game_chunks(order):
 
 @pytest.mark.parametrize("chunk", [_one_game_chunks, _two_game_chunks])
 @pytest.mark.parametrize("order", [1, 9])
-def test_predict_is_independent_of_the_chunk_size(predict_inputs, capsys, monkeypatch,
+def test_predict_is_independent_of_the_chunk_size(predict_inputs, capsys, chunk_bound,
                                                   chunk, order):
     """Five fixtures in chunks of one, or of two with a last chunk of one."""
     snapshot, fixtures = predict_inputs
     argv = ["predict", "--snapshot", snapshot, "--fixtures", fixtures, "--order", order]
     assert run(argv) == cli.EXIT_OK
     whole = capsys.readouterr()
-    monkeypatch.setattr(oracle, "GRID_CHUNK", chunk(order))
+    counts = chunk_bound(chunk(order))
     assert run(argv) == cli.EXIT_OK
     assert capsys.readouterr() == whole
+    assert counts == [3 if chunk is _two_game_chunks else 5]
 
 
 @pytest.mark.parametrize("chunk", [_one_game_chunks, _two_game_chunks])
-def test_validate_is_independent_of_the_chunk_size(capsys, monkeypatch, chunk):
+def test_validate_is_independent_of_the_chunk_size(capsys, chunk_bound, chunk):
     """37 games in chunks of one; or the oracle grid (order 9) in chunks of
     two games and the outcome draws (order 3) in chunks of 18, each with a
     last chunk of one."""
@@ -156,9 +157,10 @@ def test_validate_is_independent_of_the_chunk_size(capsys, monkeypatch, chunk):
             "--alpha0", 0.2, "--alpha1", 0.1]
     assert run(argv) == cli.EXIT_OK
     whole = capsys.readouterr()
-    monkeypatch.setattr(oracle, "GRID_CHUNK", chunk(9))
+    counts = chunk_bound(chunk(9))
     assert run(argv) == cli.EXIT_OK
     assert capsys.readouterr() == whole
+    assert counts == ([37, 37] if chunk is _one_game_chunks else [3, 19])
 
 
 def test_compare_updates_excludes_an_invalid_outcome_per_game():

@@ -576,6 +576,38 @@ class TestExitCodes:
                     "--out-snapshot", tmp_path / "s"])
         assert code == cli.EXIT_DEGENERATE
 
+    def test_a_tau_whose_square_overflows_is_an_input_error(self, tmp_path, capsys):
+        games = tmp_path / "g.csv"
+        games.write_text("period,white,black,result\n1,a,b,1\n")
+        code = run(["rate", "--games", games, "--tau", "1e200",
+                    "--out-snapshot", tmp_path / "s"])
+        assert code == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tau" in err and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv"]
+
+    @pytest.mark.parametrize("line,edit", [
+        pytest.param(2, lambda text: text + " 0.5", id="six-hyperparameters"),
+        # tau would silently take its default
+        pytest.param(2, lambda text: text.rsplit(" ", 1)[0], id="four-hyperparameters"),
+        pytest.param(3, lambda text: text.replace(" 1 ", " 7 ", 1), id="draw-flag-7"),
+        pytest.param(3, lambda text: text + " 1.0", id="six-config-values"),
+    ])
+    def test_a_malformed_snapshot_header_is_an_input_error(self, tmp_path, capsys, line,
+                                                           edit):
+        snap = tmp_path / "s.snapshot"
+        _write_snapshot(snap)
+        lines = snap.read_text().split("\n")
+        lines[line] = edit(lines[line])
+        snap.write_text("\n".join(lines))
+        fixtures = tmp_path / "f.csv"
+        fixtures.write_text("white,black\nanna,bert\n")
+        assert run(["predict", "--snapshot", snap, "--fixtures", fixtures]) == \
+            cli.EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: malformed snapshot header") and err.count("\n") == 1
+
 
 def test_elo_report_matches_conversion(tmp_path, capsys):
     games = tmp_path / "g.csv"

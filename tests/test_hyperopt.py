@@ -5,12 +5,13 @@ integration over both players' beliefs (4001-point grids, +/- 8 sd).
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from drawrating import engine, hyperopt, model
+from drawrating import engine, hyperopt, model, simulate
 from drawrating.engine import EngineConfig, PlayerBelief
 from drawrating.model import Hyperparameters
 from drawrating.store import GameRecord
@@ -382,6 +383,18 @@ class TestOptimize:
         assert type(result.objective) is float
         assert all(type(s.objective) is float for s in result.starts)
 
+    def test_a_tau_whose_square_overflows_scores_minus_infinity(self):
+        """The simplex around tau = 1e153 steps log tau to about 1e160, whose
+        square overflows in the engine's time advance."""
+        trace = hyperopt.TraceRecorder()
+        result = hyperopt.optimize(
+            _league_games(), CFG, train_until=1,
+            starts=[Hyperparameters(tau=1e153)], trace=trace,
+        )
+        overflowed = [obj for _, h, obj in trace.rows if h.tau > 1.4e154]
+        assert overflowed and set(overflowed) == {-math.inf}
+        assert result.evaluations == len(trace.rows)
+
     def test_non_improving_search_flags_non_convergence(self):
         result = hyperopt.optimize(
             [], CFG, train_until=1,
@@ -513,3 +526,60 @@ class TestReplayGuard:
             hyperopt.evaluate_hyperparameters(
                 history, H2, EngineConfig(default_prior_elo=1500.0), 2
             )
+
+
+def _chunked_league(players, periods, games_per_period):
+    league = simulate.simulate_league(
+        simulate.LeagueConfig(players, periods, games_per_period, "uniform-random", seed=5),
+        H2,
+    )
+    return engine.compile_history(league.games, None, CFG)
+
+
+class TestChunkedPasses:
+    """The array passes run in ``engine.chunks`` of at most ``GRID_CHUNK`` cells."""
+
+    @pytest.mark.parametrize("h,bound,counts", [
+        # one directed term and one scored game per chunk
+        (H2, 1, {5000, 2500}),
+        # 31 terms and 7 games per chunk, each pass with a last partial chunk
+        (H2, 63, {162, 358}),
+        (GUARD_POINTS[2], 63, {162, 358}),
+        # every pass in one chunk
+        (GUARD_POINTS[2], 1 << 30, {1}),
+    ])
+    def test_fit_is_independent_of_the_chunk_size(self, chunk_bound, h, bound, counts):
+        """Periods of 2 500 games; at the default bound a period's 5 000
+        terms take two chunks and its 2 500 scored games three."""
+        history = _chunked_league(200, 3, 2500)
+
+        def replay():
+            ev = hyperopt.evaluate_hyperparameters(history, h, CFG, 1)
+            states = []
+            mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
+            for period in history.periods:
+                got = engine.filter_period(period, history.ids, mu, sigma, tracked, h, CFG)
+                states.append((mu.copy(), sigma.copy(), tracked.copy(), *got))
+            return repr((ev.total, ev.per_period_loglik)), states
+
+        want, want_states = replay()
+        chunks = chunk_bound(bound)
+        got, got_states = replay()
+        assert got == want
+        for got_arrays, want_arrays in zip(got_states, want_states):
+            assert all(map(np.array_equal, got_arrays, want_arrays))
+        assert set(chunks) == counts
+
+    def test_a_scored_period_keeps_its_temporaries_small(self):
+        """Peak memory an evaluation allocates over what it holds at the start,
+        on a league whose scored periods have 5 000 games each: about 1.2 MB
+        in chunks of 64 KiB, about 4 MB as whole-period passes."""
+        history = _chunked_league(500, 3, 5000)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            hyperopt.evaluate_hyperparameters(history, H2, CFG, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 2_000_000

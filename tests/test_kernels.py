@@ -487,7 +487,7 @@ class TestPredictiveProbability:
 
     @pytest.mark.parametrize("h", HYPERS)
     @pytest.mark.parametrize("order", ORDERS)
-    def test_array_beliefs(self, h, order, monkeypatch):
+    def test_array_beliefs(self, h, order, chunk_bound):
         """The broadcast form on many games, one game and a broadcast grid;
         the chunked n-game form ``predictive_probability_rows`` at the default
         chunk size and at one game per chunk."""
@@ -504,5 +504,6 @@ class TestPredictiveProbability:
             assert np.array_equal(got, want)
         want = ref_predictive_probability_array(*games, h, order)
         assert np.array_equal(hyperopt.predictive_probability_rows(*games, h, order), want)
-        monkeypatch.setattr(oracle, "GRID_CHUNK", order * order)
+        counts = chunk_bound(order * order)
         assert np.array_equal(hyperopt.predictive_probability_rows(*games, h, order), want)
+        assert counts == [len(want)] and len(want) > 1
