@@ -562,7 +562,9 @@ class TestChunkedPasses:
                 states.append((mu.copy(), sigma.copy(), tracked.copy(), *got))
             return repr((ev.total, ev.per_period_loglik)), states
 
+        default = chunk_bound(engine.GRID_CHUNK)
         want, want_states = replay()
+        assert set(default) == {2, 3}
         chunks = chunk_bound(bound)
         got, got_states = replay()
         assert got == want
