@@ -189,21 +189,26 @@ def cmd_predict(args) -> int:
                       file=sys.stderr)
                 continue
             white, black = (c.strip() for c in fields)
-            fixtures.append((white, black))
+            fixtures.append((line_no, white, black))
             rows.append((lookup(white), lookup(black)))
 
     mu, sigma = np.array(mu), np.array(sigma)
     w, b = np.array(rows, dtype=np.intp).reshape(-1, 2).T
     p = hyperopt.predictive_probability_rows(mu[w], sigma[w], mu[b], sigma[b], h,
                                              order=args.order)
-    decisive = p[:, 0] / (p[:, 0] + p[:, 2])
+    bad = np.flatnonzero(~np.isfinite(p).all(axis=1))
+    if bad.size:
+        raise ValueError(f"fixtures line {fixtures[bad[0]][0]}: non-finite outcome "
+                         f"probabilities {p[bad[0]].tolist()}")
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 when a draw is certain
+        decisive = p[:, 0] / (p[:, 0] + p[:, 2])
 
     def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["white", "black", "p_win", "p_draw", "p_loss", "p_win_decisive"])
         writer.writerows(
             [white, black, repr(p_win), repr(p_draw), repr(p_loss), repr(p_dec)]
-            for (white, black), (p_win, p_draw, p_loss), p_dec
+            for (_, white, black), (p_win, p_draw, p_loss), p_dec
             in zip(fixtures, p.tolist(), decisive.tolist())
         )
 

@@ -15,7 +15,6 @@ belief columns, and ``run_period`` is its dict-in, dict-out form.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -143,17 +142,32 @@ def _delta_arrays(focal_mu, opp_mu, opp_sigma, win, draw, color, h, draw_score_o
     equal 1/2 node weights cancel between numerator and denominator of the
     delta terms; p_observed keeps the uncancelled two-node sum.
     """
-    a = model.score_coefficient_columns(color, h, draw_score_override)
-    p = tuple(map(np.exp, model.log_probability_columns(
-        focal_mu, opp_mu + np.array([[-1.0], [1.0]]) * opp_sigma, color, h
-    )))
-    p_y = model.observed_column(win, draw, p)
-    d1, d2 = model.derivative_arrays(p, a, p_y, model.observed_column(win, draw, a))
-    # each node row is added to 0.0 in turn, so a zero term sums as +0.0
-    p_obs, num1, num2 = ((0.0 + rows[0]) + rows[1] for rows in (p_y, d1, d2))
-    # p_obs can underflow to exactly 0 for pathological hyperparameters;
+    nodes = opp_mu + np.array([[-1.0], [1.0]]) * opp_sigma
+    # a huge draw coefficient overflows and p_obs can underflow to exactly 0;
     # the resulting NaNs are caught by the precision check downstream
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if h.alpha1:
+            a = model.score_coefficient_columns(color, h, draw_score_override)
+            p = tuple(map(np.exp, model.log_probability_columns(focal_mu, nodes, color, h)))
+            p_y = model.observed_column(win, draw, p)
+            d1, d2 = model.derivative_arrays(p, a, p_y, model.observed_column(win, draw, a))
+        else:
+            # the coefficients are the constants (1, a_draw, +/-0), so the loss
+            # probability drops out of s1 = sum(p a) and s2 = sum(p a^2)
+            a_draw = model.draw_coefficient(h, draw_score_override)
+            (p_w, p_d, loss), log_total = model.shifted_logit_columns(focal_mu, nodes, color, h)
+            p_y = model.observed_column(win, draw, (p_w, p_d, loss))
+            # in place, the loss logit freed: fewer live temporaries keep the
+            # heap from growing and being trimmed at every call
+            del loss
+            for x in (p_y, p_w, p_d):
+                x -= log_total
+                np.exp(x, out=x)
+            d1, d2 = model.selected_derivatives(
+                p_y, win + draw * a_draw, p_w + p_d * a_draw, p_w + p_d * (a_draw * a_draw)
+            )
+        # each node row is added to 0.0 in turn, so a zero term sums as +0.0
+        p_obs, num1, num2 = ((0.0 + rows[0]) + rows[1] for rows in (p_y, d1, d2))
         delta1 = num1 / p_obs
         delta2 = num2 / p_obs - delta1**2
     return delta1, delta2, p_obs
@@ -250,7 +264,8 @@ class CompiledPeriod:
     for scoring.  The directed terms ``focal``, ``opp``, ``win`` and ``draw``
     (the focal player's outcome masks) and ``color``, two per game, are
     sorted by (focal, opp, outcome, color), so every sum over them runs in
-    a fixed order whatever the input order.
+    a fixed order whatever the input order.  ``players`` holds the focal
+    players in ascending order, and ``games`` the number of games of each.
     """
 
     white: np.ndarray
@@ -262,6 +277,8 @@ class CompiledPeriod:
     win: np.ndarray
     draw: np.ndarray
     color: np.ndarray
+    players: np.ndarray
+    games: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -293,9 +310,12 @@ def _compile_period(games: list, index: dict) -> CompiledPeriod:
     color = np.repeat([1.0, -1.0], len(games))
     # ascending outcome value (loss, draw, win) is descending index
     order = np.lexsort((color, -outcome, opp, focal))
+    games = np.bincount(focal)
+    players = np.flatnonzero(games)
     return CompiledPeriod(
         white, black, observed == 0, observed == 1,
         focal[order], opp[order], (outcome == 0)[order], (outcome == 1)[order], color[order],
+        players, games[players],
     )
 
 
@@ -354,9 +374,11 @@ def filter_period(period: CompiledPeriod, ids, mu, sigma, tracked, h: Hyperparam
     time (``advance_time``, vectorized bit for bit).
     Returns the games per player and the posterior sd before the advance.
     """
-    counts = np.bincount(period.focal, minlength=len(mu))
-    if period.focal.size:
-        tracked[period.focal] = True
+    players = period.players
+    counts = np.zeros(len(mu), dtype=np.intp)
+    counts[players] = period.games
+    if players.size:
+        tracked[players] = True
         d1, d2 = np.empty((2, period.focal.size))
         # each term is computed alone, so the chunking leaves every bit as it is
         for part in chunks(period.focal.size, 2):
@@ -365,12 +387,10 @@ def filter_period(period: CompiledPeriod, ids, mu, sigma, tracked, h: Hyperparam
                 mu[focal], mu[opp], sigma[opp], period.win[part], period.draw[part],
                 period.color[part], h, cfg.draw_score_override,
             )
-        active = counts > 0
-        sum1 = np.bincount(period.focal, weights=d1, minlength=len(mu))
-        sum2 = np.bincount(period.focal, weights=d2, minlength=len(mu))
-        mu[active], sigma[active] = _newton_step(
-            itertools.compress(ids, active), mu[active], sigma[active],
-            sum1[active], sum2[active],
+        mu[players], sigma[players] = _newton_step(
+            map(ids.__getitem__, players), mu[players], sigma[players],
+            np.bincount(period.focal, weights=d1)[players],
+            np.bincount(period.focal, weights=d2)[players],
         )
     sigma_post = sigma.copy()
     grow = tracked & (sigma < cfg.sigma_cap)

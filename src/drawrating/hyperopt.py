@@ -69,19 +69,21 @@ class TraceRecorder:
         return "\n".join(lines) + "\n"
 
 
-def _node_grid(white_mu, white_sigma, black_mu, black_sigma, h: Hyperparameters, order: int):
+def _node_grid(white_mu, white_sigma, black_mu, black_sigma, h: Hyperparameters, order: int,
+               kernel=model.log_probability_columns):
     """Log outcome columns (win, draw, loss) of n games on the quadrature grid.
 
     The belief-integrated outcome probability sums these columns, exponentiated
     and times the returned node-pair weights, over both players' nodes.  The
     nodes lead the layout, (order, order, n), so the node pairs are its rows.
+    ``kernel`` forms the columns, as ``model.log_probability_columns`` does.
     """
     rule = oracle.gh_rule(order)
     nodes, weights = rule.nodes, rule.weights / math.sqrt(math.pi)
     theta_w = white_mu + math.sqrt(2.0) * white_sigma * nodes[:, None, None]
     theta_b = black_mu + math.sqrt(2.0) * black_sigma * nodes[None, :, None]
     w2 = weights[:, None, None] * weights[None, :, None]
-    return model.log_probability_columns(theta_w, theta_b, 1.0, h), w2
+    return kernel(theta_w, theta_b, 1.0, h), w2
 
 
 def _pair_sum(terms: np.ndarray, order: int, width: int) -> np.ndarray:
@@ -136,14 +138,21 @@ def _observed_probability(
     """Belief-integrated probability of each game's observed outcome.
 
     The scoring form of ``predictive_probability_rows``: only the observed
-    outcome's column, picked by the masks ``white_won`` and ``drawn``, is
-    exponentiated, in ``engine.chunks`` of ``order**2`` node pairs per game.
+    outcome's shifted logit, picked by the masks ``white_won`` and ``drawn``,
+    is normalised and exponentiated, in ``engine.chunks`` of ``order**2`` node
+    pairs per game.
     """
     p = np.empty(len(white_won))
     for part in engine.chunks(len(white_won), order * order):
-        columns, w2 = _node_grid(white_mu[part], white_sigma[part], black_mu[part],
-                                 black_sigma[part], h, order)
-        terms = np.exp(model.observed_column(white_won[part], drawn[part], columns)) * w2
+        beliefs = (x[part] for x in (white_mu, white_sigma, black_mu, black_sigma))
+        (logits, log_total), w2 = _node_grid(*beliefs, h, order, model.shifted_logit_columns)
+        # in place, the logits freed: no temporary outlives its chunk, and the
+        # heap is not grown and trimmed at every call
+        terms = model.observed_column(white_won[part], drawn[part], logits)
+        terms -= log_total
+        del logits, log_total
+        np.exp(terms, out=terms)
+        terms *= w2
         p[part] = _pair_sum(terms, order, part.stop - part.start)
     return p
 

@@ -68,25 +68,34 @@ def _check_color(color) -> None:
         raise ValueError(f"color must be +1 (white) or -1 (black), got {color!r}")
 
 
-def log_probability_columns(theta_i, theta_j, color, h: Hyperparameters):
-    """Log outcome probabilities (win, draw, loss) as three broadcast arrays.
+def shifted_logit_columns(theta_i, theta_j, color, h: Hyperparameters):
+    """Outcome logits (win, draw, loss) less the largest, and the log of their
+    exponentials' sum, which each log probability subtracts.
 
     A closed-form three-way log-sum-exp: the largest logit is subtracted
     before exponentiating, so extreme strengths stay finite, and the three
     exponentials are added in the order numpy's length-3 ``sum`` uses.
     Without a white advantage (``alpha0 == alpha1 == 0``) ``color`` is not
     read; skipping its zero terms changes no value at a finite average strength.
+    Overflowing inputs give NaN or infinite columns, without a warning.
     """
-    avg = 0.5 * (theta_i + theta_j)
-    win, loss = theta_i, theta_j
-    if h.alpha0 or h.alpha1:
-        advantage = color * (h.alpha0 + h.alpha1 * avg) / 4.0
-        win, loss = win + advantage, loss - advantage
-    draw = h.beta0 + (1.0 + h.beta1) * avg
-    top = np.maximum(np.maximum(win, draw), loss)
-    win, draw, loss = win - top, draw - top, loss - top
-    with np.errstate(divide="ignore"):  # exact zeros are legal probabilities
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        avg = 0.5 * (theta_i + theta_j)
+        win, loss = theta_i, theta_j
+        if h.alpha0 or h.alpha1:
+            advantage = color * (h.alpha0 + h.alpha1 * avg) / 4.0
+            win, loss = win + advantage, loss - advantage
+        draw = h.beta0 + (1.0 + h.beta1) * avg
+        top = np.maximum(np.maximum(win, draw), loss)
+        win, draw, loss = win - top, draw - top, loss - top
+        # exact zeros are legal probabilities: log(0) is -inf
         log_total = np.log((np.exp(win) + np.exp(draw)) + np.exp(loss))
+    return (win, draw, loss), log_total
+
+
+def log_probability_columns(theta_i, theta_j, color, h: Hyperparameters):
+    """Log outcome probabilities (win, draw, loss) as three broadcast arrays."""
+    (win, draw, loss), log_total = shifted_logit_columns(theta_i, theta_j, color, h)
     return win - log_total, draw - log_total, loss - log_total
 
 
@@ -117,13 +126,17 @@ def outcome_probabilities(
     return probability_array(theta_i, theta_j, color, h)
 
 
+def draw_coefficient(h: Hyperparameters, draw_score_override: bool) -> float:
+    """The draw's score coefficient a_draw: 1/2 under the override, else (1 + beta1) / 2."""
+    return 0.5 if draw_score_override else (1.0 + h.beta1) / 2.0
+
+
 def score_coefficient_columns(color, h: Hyperparameters, draw_score_override: bool):
     """Score coefficients (a_win, a_draw, a_loss) as three arrays of ``color``'s shape."""
     color = np.asarray(color, dtype=float)
     a_win = 1.0 + color * h.alpha1 / 8.0
     a_loss = -color * h.alpha1 / 8.0
-    a_draw_value = 0.5 if draw_score_override else (1.0 + h.beta1) / 2.0
-    return a_win, np.full_like(a_win, a_draw_value), a_loss
+    return a_win, np.full_like(a_win, draw_coefficient(h, draw_score_override)), a_loss
 
 
 def observed_column(win, draw, columns):
@@ -163,7 +176,13 @@ def derivative_arrays(p, a, p_c, a_c):
     (p_w, p_d, p_l), (a_w, a_d, a_l) = p, a
     s1 = (p_w * a_w + p_l * a_l) + p_d * a_d
     s2 = (p_w * (a_w * a_w) + p_l * (a_l * a_l)) + p_d * (a_d * a_d)
-    return p_c * (a_c - s1), p_c * (a_c * a_c - s2 - 2.0 * s1 * (a_c - s1))
+    return selected_derivatives(p_c, a_c, s1, s2)
+
+
+def selected_derivatives(p_c, a_c, s1, s2):
+    """``derivative_arrays`` from the sums s1 = sum(p a) and s2 = sum(p a^2)."""
+    residual = a_c - s1
+    return p_c * residual, p_c * (a_c * a_c - s2 - 2.0 * s1 * residual)
 
 
 def probability_derivatives(

@@ -231,7 +231,9 @@ def load_snapshot(stream) -> RatingSnapshot:
     reader = csv.reader(stream)
     for row in reader:
         if len(entries) == count:
-            break
+            if row:  # a blank line past the player rows is read past
+                raise SnapshotFormatError(f"row {row!r} after the {count} player rows")
+            continue
         if len(row) != 4:
             raise SnapshotFormatError(f"malformed player row {row!r}")
         pid, mu, sigma, games = row[0], float(row[1]), float(row[2]), int(row[3])

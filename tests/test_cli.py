@@ -3,6 +3,7 @@
 import csv
 import io
 import itertools
+import warnings
 
 import pytest
 
@@ -607,6 +608,57 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: malformed snapshot header") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("flags", [[], ["--no-draw-override"]])
+    def test_overflowing_hyperparameters_print_one_line(self, tmp_path, capsys, flags):
+        """An overflowing draw slope fails the Newton step with one line and
+        no numpy warning."""
+        games = tmp_path / "g.csv"
+        games.write_text("period,white,black,result\n1,a,b,1\n1,b,c,0.5\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["rate", "--games", games, "--beta1", "1e308",
+                        "--out-snapshot", tmp_path / "s", *flags])
+        assert code == cli.EXIT_DEGENERATE
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_finite_predictions_are_an_input_error(self, tmp_path, capsys):
+        """The draw logit overflows at every node pair of a strong pair."""
+        snap = tmp_path / "s.snapshot"
+        _write_snapshot(snap, mu=5.0)
+        fixtures = tmp_path / "f.csv"
+        fixtures.write_text("white,black\n\nanna,bert\nbert,anna\n")
+        out_path = tmp_path / "p.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["predict", "--snapshot", snap, "--fixtures", fixtures,
+                        "--out", out_path, "--beta1", "1e308"])
+        assert code == cli.EXIT_INPUT_ERROR
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("warning: --beta1")
+        assert len(err) == 2 and err[1].startswith("error: fixtures line 3: ")
+        assert not out_path.exists()
+
+    def test_an_undefined_decisive_share_prints_no_warning(self, tmp_path, capsys):
+        """At a huge draw intercept neither side can win: p_win_decisive is
+        0/0, written as nan without a numpy warning."""
+        snap = tmp_path / "s.snapshot"
+        _write_snapshot(snap)
+        fixtures = tmp_path / "f.csv"
+        fixtures.write_text("white,black\nanna,bert\n")
+        out_path = tmp_path / "p.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["predict", "--snapshot", snap, "--fixtures", fixtures,
+                        "--out", out_path, "--beta0", "800"])
+        assert code == cli.EXIT_OK
+        assert caught == []
+        assert capsys.readouterr().err.startswith("warning: --beta0 800.0 overrides")
+        assert out_path.read_text().splitlines()[1] == "anna,bert,0.0,1.0000000000000002,0.0,nan"
 
 
 def test_elo_report_matches_conversion(tmp_path, capsys):

@@ -28,7 +28,13 @@ HYPERS = [
     Hyperparameters(),
     Hyperparameters(alpha0=0.1, alpha1=0.05, beta0=0.8, beta1=0.3, tau=0.25),
     Hyperparameters(alpha0=-0.4, alpha1=0.3, beta0=-1.5, beta1=-0.6, tau=0.1),
+    # a white advantage without a slope: colour-dependent logits, constant coefficients
+    Hyperparameters(alpha0=0.3, alpha1=0.0, beta0=0.5, beta1=0.4, tau=0.2),
 ]
+# strengths and deviations at the edges of float64: signed zeros, subnormals,
+# exp underflow (+/-800) and far beyond it (+/-1e5)
+EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, 0.3, -1.7,
+                  40.0, -40.0, 800.0, -800.0, 1e5, -1e5])
 # strengths where exp underflows (+/-800) or nearly does (+/-40)
 EXTREMES = np.array([-800.0, -40.0, -3.0, -0.5, 0.0, 0.7, 2.0, 40.0, 800.0])
 ORDERS = [1, 3, 9, 20, 50]
@@ -261,6 +267,22 @@ class TestProbabilityDerivatives:
                 assert got == (tuple(first.tolist()), tuple(second.tolist()))
 
 
+def coefficient_delta_arrays(focal_mu, opp_mu, opp_sigma, win, draw, color, h,
+                             draw_score_override):
+    """``engine._delta_arrays`` through the score coefficient columns for
+    every ``h``: the form the kernel takes when the coefficients depend on colour."""
+    a = model.score_coefficient_columns(color, h, draw_score_override)
+    p = tuple(map(np.exp, model.log_probability_columns(
+        focal_mu, opp_mu + np.array([[-1.0], [1.0]]) * opp_sigma, color, h
+    )))
+    p_y = model.observed_column(win, draw, p)
+    d1, d2 = model.derivative_arrays(p, a, p_y, model.observed_column(win, draw, a))
+    p_obs, num1, num2 = ((0.0 + rows[0]) + rows[1] for rows in (p_y, d1, d2))
+    with np.errstate(all="ignore"):
+        delta1 = num1 / p_obs
+        return delta1, num2 / p_obs - delta1**2, p_obs
+
+
 def delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_override):
     """``engine._delta_arrays`` of float outcomes."""
     return engine._delta_arrays(
@@ -295,6 +317,20 @@ class TestDeltaArrays:
             args = (focal, 1.2, 0.4, outcome, color, h, override)
             assert_identical(delta_arrays(*args), ref_delta_arrays(*args))
             assert_identical(delta_arrays(*args), choose_delta_arrays(*args))
+
+    @pytest.mark.parametrize("h", HYPERS)
+    @pytest.mark.parametrize("override", [True, False])
+    def test_edge_terms_match_the_coefficient_columns_byte_for_byte(self, h, override):
+        """Every combination of edge strengths, deviations, outcomes and
+        colours; bytes compare, so the sign of a zero and a NaN's bits count."""
+        grid = np.meshgrid(EDGES, EDGES, np.abs(EDGES[2:]), [0, 1, 2], [1.0, -1.0],
+                           indexing="ij")
+        focal, opp, sigma, observed, color = (x.ravel() for x in grid)
+        args = (focal, opp, sigma, observed == 0, observed == 1, color, h, override)
+        with np.errstate(all="ignore"):
+            want = coefficient_delta_arrays(*args)
+        got = engine._delta_arrays(*args)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
     @pytest.mark.parametrize("override", [True, False])
     def test_one_term_and_no_terms(self, override):
@@ -407,6 +443,20 @@ class TestCompiledPeriods:
         }
         assert np.array_equal(period.win, np.array(expected) == 0)
         assert np.array_equal(period.draw, np.array(expected) == 1)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_players_and_games_count_the_directed_terms(self, seed):
+        games, state = _league(seed)
+        history = engine.compile_history(games, state, engine.EngineConfig())
+        for period in history.periods:
+            counts = np.bincount(period.focal, minlength=len(history.ids))
+            assert np.array_equal(period.players, np.flatnonzero(counts))
+            assert np.array_equal(period.games, counts[counts > 0])
+
+    def test_an_empty_period_has_no_players(self):
+        period = engine._compile_period([], {"a": 0, "b": 1})
+        assert period.players.shape == period.games.shape == (0,)
+        assert period.players.dtype == np.intp
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_terms_keep_the_float_outcome_order(self, seed):

@@ -235,6 +235,19 @@ class TestSnapshotValidation:
         with pytest.raises(SnapshotFormatError):
             store.load_snapshot(stream)
 
+    @pytest.mark.parametrize("extra", ["carl,0.0,0.5,1", "anna,0.1,0.5,12", " "])
+    def test_a_row_past_the_player_count_is_refused(self, extra):
+        """A player row after the ``players N`` rows would be dropped unread."""
+        stream = self._corrupt(lambda ls: ls.insert(7, extra))
+        with pytest.raises(SnapshotFormatError, match="after the 2 player rows"):
+            store.load_snapshot(stream)
+
+    def test_blank_lines_after_the_player_rows_are_read_past(self):
+        buf = io.StringIO()
+        store.save_snapshot(_snapshot(), buf)
+        loaded = store.load_snapshot(io.StringIO(buf.getvalue() + "\n\n"))
+        assert loaded.entries == _snapshot().entries
+
 
 class TestInitializePriors:
     def test_elo_conversion(self):
