@@ -310,12 +310,12 @@ def _compile_period(games: list, index: dict) -> CompiledPeriod:
     color = np.repeat([1.0, -1.0], len(games))
     # ascending outcome value (loss, draw, win) is descending index
     order = np.lexsort((color, -outcome, opp, focal))
-    games = np.bincount(focal)
-    players = np.flatnonzero(games)
+    counts = np.bincount(focal)
+    players = np.flatnonzero(counts)
     return CompiledPeriod(
         white, black, observed == 0, observed == 1,
         focal[order], opp[order], (outcome == 0)[order], (outcome == 1)[order], color[order],
-        players, games[players],
+        players, counts[players],
     )
 
 
