@@ -194,8 +194,8 @@ def cmd_predict(args) -> int:
 
     mu, sigma = np.array(mu), np.array(sigma)
     w, b = np.array(rows, dtype=np.intp).reshape(-1, 2).T
-    p = hyperopt.predictive_probability_rows(mu[w], sigma[w], mu[b], sigma[b], h,
-                                             order=args.order)
+    p = hyperopt.predictive_probability_array(mu[w], sigma[w], mu[b], sigma[b], h,
+                                              order=args.order)
     bad = np.flatnonzero(~np.isfinite(p).all(axis=1))
     if bad.size:
         raise ValueError(f"fixtures line {fixtures[bad[0]][0]}: non-finite outcome "
@@ -257,7 +257,7 @@ def cmd_validate(args) -> int:
     uniforms = rng.uniform(_VALIDATE_LOW, _VALIDATE_HIGH, size=(max(args.games, 0), 6))
     focal_mu, focal_sigma, opp_mu, opp_sigma, color_u, outcome_u = uniforms.T
     black = color_u >= 0.5
-    p = hyperopt.predictive_probability_rows(focal_mu, focal_sigma, opp_mu, opp_sigma, h)
+    p = hyperopt.predictive_probability_array(focal_mu, focal_sigma, opp_mu, opp_sigma, h)
     p = np.where(black[:, None], p[:, ::-1], p)  # from the focal player's side
     outcome = np.array([model.WIN, model.DRAW, model.LOSS])[
         (outcome_u[:, None] < p.cumsum(axis=1)).argmax(axis=1)

@@ -105,30 +105,21 @@ def predictive_probability_array(
 
     Integrates the outcome model over both players' independent normal
     beliefs using an order^2 tensor grid; broadcasts over leading axes.
+    The broadcast games are integrated in ``engine.chunks`` of ``order**2``
+    node pairs each, so memory stays bounded at any size and order.
     """
     beliefs = np.broadcast_arrays(*(
         np.asarray(x, dtype=float) for x in (white_mu, white_sigma, black_mu, black_sigma)
     ))
     shape, n = beliefs[0].shape, beliefs[0].size
-    columns, w2 = _node_grid(*(b.reshape(n) for b in beliefs), h, order)
-    terms = np.exp(np.concatenate(columns, axis=-1)) * w2
-    return _pair_sum(terms, order, 3 * n).reshape(3, n).T.reshape(*shape, 3)
-
-
-def predictive_probability_rows(
-    white_mu, white_sigma, black_mu, black_sigma, h: Hyperparameters, order: int = 3
-) -> np.ndarray:
-    """``predictive_probability_array`` of n games given as 1-D arrays: (n, 3).
-
-    Games are integrated in ``engine.chunks`` of ``order**2`` node pairs
-    each, so memory stays bounded at any order.
-    """
-    out = np.empty((len(white_mu), 3))
-    for part in engine.chunks(len(white_mu), order * order):
-        out[part] = predictive_probability_array(
-            white_mu[part], white_sigma[part], black_mu[part], black_sigma[part], h, order
-        )
-    return out
+    beliefs = [b.reshape(n) for b in beliefs]
+    out = np.empty((n, 3))
+    for part in engine.chunks(n, order * order):
+        width = part.stop - part.start
+        columns, w2 = _node_grid(*(b[part] for b in beliefs), h, order)
+        terms = np.exp(np.concatenate(columns, axis=-1)) * w2
+        out[part] = _pair_sum(terms, order, 3 * width).reshape(3, width).T
+    return out.reshape(*shape, 3)
 
 
 def _observed_probability(
@@ -137,7 +128,7 @@ def _observed_probability(
 ) -> np.ndarray:
     """Belief-integrated probability of each game's observed outcome.
 
-    The scoring form of ``predictive_probability_rows``: only the observed
+    The scoring form of ``predictive_probability_array``: only the observed
     outcome's shifted logit, picked by the masks ``white_won`` and ``drawn``,
     is normalised and exponentiated, in ``engine.chunks`` of ``order**2`` node
     pairs per game.
@@ -269,11 +260,7 @@ def optimize(
         def objective_fn(h):
             return evaluate_hyperparameters(history, h, cfg, train_until).total
 
-    evaluations = 0
-
     def negative(v):
-        nonlocal evaluations
-        evaluations += 1
         try:
             h = _from_vector(v, fix_alpha)
         except (OverflowError, ValueError):
@@ -291,30 +278,25 @@ def optimize(
         return -value
 
     def search(start):
-        """Nelder-Mead from one start; returns (value at the start, result)."""
+        """Nelder-Mead from one start; returns (every value it took, result)."""
         x0 = _to_vector(start, fix_alpha)
-        start_value = -negative(x0)
-        calls = 0
-        finite = False
+        values = []
 
-        def reuse_start(v):
-            nonlocal calls, finite
-            calls += 1
-            # Nelder-Mead's first call is at x0, whose value is already known
-            value = -start_value if calls == 1 and np.array_equal(v, x0) else negative(v)
-            finite = finite or value != math.inf
+        def recorded(v):
+            # Nelder-Mead's first call is at x0, so values[0] is the start's value
+            values.append(negative(v))
             # the first len(x0) + 1 calls are the initial simplex; if all of
             # it scores -inf the search can only shrink it until the budget ends
-            if calls == len(x0) + 1 and not finite:
+            if len(values) == len(x0) + 1 and min(values) == math.inf:
                 raise _DegenerateSimplex
-            return value
+            return values[-1]
 
         try:
             # scipy's stopping test subtracts vertex values: inf - inf when
             # every vertex scores -inf
             with np.errstate(invalid="ignore"):
                 res = minimize(
-                    reuse_start,
+                    recorded,
                     x0,
                     method="Nelder-Mead",
                     options={
@@ -324,12 +306,14 @@ def optimize(
                     },
                 )
         except _DegenerateSimplex:
-            return start_value, OptimizationStart(start, start, -math.inf)
-        return start_value, OptimizationStart(
+            return values, OptimizationStart(start, start, -math.inf)
+        return values, OptimizationStart(
             start, _from_vector(res.x, fix_alpha), float(-res.fun)
         )
 
-    start_values, results = zip(*(search(start) for start in starts))
+    searched, results = zip(*(search(start) for start in starts))
+    start_values = [-values[0] for values in searched]
+    evaluations = sum(map(len, searched))
     best = max(results, key=lambda r: r.objective)
     initial_best = max(start_values)
     if best.objective > initial_best:

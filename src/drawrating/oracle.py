@@ -93,21 +93,6 @@ def posterior_moments(focal_mu, focal_sigma, opp_mu, opp_sigma, win, draw, color
     return mean, second
 
 
-def _posterior(mean: float, second: float) -> OraclePosterior:
-    """One game's posterior from its moments, refusing degenerate evidence.
-
-    The variance is formed on Python floats.
-    """
-    if math.isnan(mean):
-        raise DegenerateEvidenceError(
-            "realized outcome has zero probability at every node pair"
-        )
-    variance = second - mean**2
-    if variance <= 0:
-        raise DegenerateEvidenceError(f"non-positive posterior variance {variance}")
-    return OraclePosterior(mean, variance)
-
-
 def _check_order(order: int) -> None:
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
@@ -123,7 +108,7 @@ def oracle_posterior(
 ) -> OraclePosterior:
     """Posterior mean and variance of the focal strength after one game.
 
-    The one-game call of ``posterior_moments``.
+    The one-game call of ``posterior_moments``, refusing degenerate evidence.
     """
     _check_order(order)
     observed = np.array([model.outcome_index(outcome)])
@@ -132,7 +117,15 @@ def oracle_posterior(
           (focal.mu, focal.sigma, opponent.mu, opponent.sigma)),
         observed == 0, observed == 1, np.array([color], dtype=float), h, order,
     )
-    return _posterior(float(mean[0]), float(second[0]))
+    mean, second = float(mean[0]), float(second[0])
+    if math.isnan(mean):
+        raise DegenerateEvidenceError(
+            "realized outcome has zero probability at every node pair"
+        )
+    variance = second - mean**2
+    if variance <= 0:
+        raise DegenerateEvidenceError(f"non-positive posterior variance {variance}")
+    return OraclePosterior(mean, variance)
 
 
 @dataclass(frozen=True)
@@ -191,6 +184,10 @@ def _summarize(label, approx_dmu, oracle_dmu, approx_dlogsd, oracle_dlogsd):
     )
 
 
+#: ``math.log`` of each element; ``np.log`` differs from it in the last bit
+_log = np.vectorize(math.log, otypes=[float])
+
+
 def _outcome_index_or_none(outcome):
     try:
         return model.outcome_index(outcome)
@@ -207,18 +204,18 @@ def compare_updates(
 ) -> ComparisonReport:
     """Compare fast single-game updates against the quadrature oracle.
 
-    ``games`` holds (focal, opponent, outcome, color) tuples.  Per-game
-    failures are excluded and counted rather than aborting the run.  With
-    ``stratify`` the report additionally splits by outcome type and focal
-    prior-mean terciles.
+    ``games`` holds (focal, opponent, outcome, color) tuples.  A game is
+    excluded and counted, not fatal, where its outcome is invalid, a sigma
+    is not positive, the observed outcome has zero probability, the Newton
+    precision is not finite and positive, or the oracle mean is NaN, its
+    square overflows or the variance is not positive.  With ``stratify`` the
+    report additionally splits by outcome type and focal prior-mean terciles.
     """
     if not games:
         raise ValueError("game list must be nonempty")
     _check_order(order)
     focal, opponent, outcome, color = zip(*games)
     index = [_outcome_index_or_none(y) for y in outcome]
-    valid = [k is not None and f.sigma > 0 and o.sigma > 0
-             for k, f, o in zip(index, focal, opponent)]
     observed = np.array([k or 0 for k in index])  # a stand-in win where invalid
     win, draw = observed == 0, observed == 1
     focal_mu, focal_sigma, opp_mu, opp_sigma = (
@@ -233,38 +230,22 @@ def compare_updates(
     mean, second = posterior_moments(
         focal_mu, focal_sigma, opp_mu, opp_sigma, win, draw, color, h, order
     )
-
-    approx_dmu, oracle_dmu = [], []
-    approx_dlogsd, oracle_dlogsd = [], []
-    mus, draws = [], []
-    excluded = 0
-    for ok, f, y, t1, t2, p, m, m2 in zip(
-        valid, focal, outcome, d1.tolist(), d2.tolist(), p_obs.tolist(),
-        mean.tolist(), second.tolist(),
-    ):
-        if not (ok and p > 0):
-            excluded += 1
-            continue
-        try:
-            # Python floats: numpy's ** differs from Python's in the last bit
-            mu_post, sigma_post = engine._newton_step([f.player_id], f.mu, f.sigma, t1, t2)
-            exact = _posterior(m, m2)
-        except ArithmeticError:
-            excluded += 1
-            continue
-        approx_dmu.append(mu_post - f.mu)
-        oracle_dmu.append(exact.mean - f.mu)
-        approx_dlogsd.append(math.log(sigma_post) - math.log(f.sigma))
-        oracle_dlogsd.append(0.5 * math.log(exact.variance) - math.log(f.sigma))
-        mus.append(f.mu)
-        draws.append(float(y) == model.DRAW)
-
-    approx_dmu = np.array(approx_dmu)
-    oracle_dmu = np.array(oracle_dmu)
-    approx_dlogsd = np.array(approx_dlogsd)
-    oracle_dlogsd = np.array(oracle_dlogsd)
-    mus = np.array(mus)
-    draws = np.array(draws, dtype=bool)
+    # float_power calls libm pow per element, as Python's float ** does (np.power
+    # differs in the last bit); where ** would overflow, the game is excluded
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        precision = np.float_power(focal_sigma, -2.0) - d2  # as engine._newton_step
+        squared = np.float_power(mean, 2.0)
+        variance = second - squared  # a NaN variance is kept
+        keep = (np.array([k is not None for k in index]) & (focal_sigma > 0) & (opp_sigma > 0)
+                & (p_obs > 0) & np.isfinite(precision) & (precision > 0) & ~np.isnan(mean)
+                & (np.isfinite(squared) | np.isinf(mean)) & ~(variance <= 0))
+    mus, precision = focal_mu[keep], precision[keep]
+    log_sigma = _log(focal_sigma[keep])
+    approx_dmu = (mus + d1[keep] / precision) - mus
+    oracle_dmu = mean[keep] - mus
+    approx_dlogsd = _log(np.float_power(precision, -0.5)) - log_sigma
+    oracle_dlogsd = 0.5 * _log(variance[keep]) - log_sigma
+    draws = draw[keep]
 
     def select(label, mask):
         if not np.any(mask):
@@ -285,4 +266,4 @@ def compare_updates(
             (f"mu>{hi:.2f}", mus > hi),
         ]
         rows.extend(select(label, mask) for label, mask in strata)
-    return ComparisonReport([r for r in rows if r is not None], excluded)
+    return ComparisonReport([r for r in rows if r is not None], len(games) - int(keep.sum()))

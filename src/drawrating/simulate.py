@@ -165,16 +165,13 @@ def recovery_experiment(
     """
     league = simulate_league(cfg, true_h)
     state = initialize_priors(initial_ratings(league), engine_cfg)
-    grouped = hyperopt.games_by_period(league.games)
+    history = engine.compile_history(league.games, state, engine_cfg)
+    mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
+    truth = league.true_strengths[[int(pid[1:]) for pid in history.ids]]
     tracking = []
-    for t in range(1, cfg.periods + 1):
-        result = engine.run_period(state, grouped.get(t, []), true_h, engine_cfg)
-        errors = [
-            abs(u.mu_post - league.true_strengths[int(u.player_id[1:]), t - 1])
-            for u in result.updates
-        ]
-        tracking.append(float(np.mean(errors)))
-        state = result.state
+    for t, period in enumerate(history.periods):
+        engine.filter_period(period, history.ids, mu, sigma, tracked, true_h, engine_cfg)
+        tracking.append(float(np.mean(np.abs(mu[tracked] - truth[tracked, t]))))
 
     fit = hyperopt.optimize(
         league.games,
@@ -182,6 +179,6 @@ def recovery_experiment(
         train_until,
         starts=starts,
         fix_alpha=True,
-        initial_state=initialize_priors(initial_ratings(league), engine_cfg),
+        initial_state=state,
     )
     return RecoveryReport(true_h, fit.best, fit.objective, fit.converged, tracking)

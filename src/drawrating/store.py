@@ -234,11 +234,15 @@ def load_snapshot(stream) -> RatingSnapshot:
             if row:  # a blank line past the player rows is read past
                 raise SnapshotFormatError(f"row {row!r} after the {count} player rows")
             continue
-        if len(row) != 4:
-            raise SnapshotFormatError(f"malformed player row {row!r}")
-        pid, mu, sigma, games = row[0], float(row[1]), float(row[2]), int(row[3])
+        try:
+            pid, mu, sigma, games = row
+            mu, sigma, games = float(mu), float(sigma), int(games)
+        except ValueError:  # not four fields, or not numbers
+            raise SnapshotFormatError(f"malformed player row {row!r}") from None
         if pid in seen:
             raise SnapshotFormatError(f"duplicate player id {pid!r}")
+        if games < 0:
+            raise SnapshotFormatError(f"player {pid!r} has invalid games count {games}")
         if not math.isfinite(mu):
             raise SnapshotFormatError(f"player {pid!r} has invalid mu {mu}")
         if not (math.isfinite(sigma) and sigma > 0):
@@ -289,8 +293,12 @@ def atomic_outputs(*paths):
     """One ``atomic_output`` stream per path, ``None`` where no path is given.
 
     The temp files are renamed only once the whole block has completed, so
-    an error anywhere in it leaves every path as it was.
+    an error anywhere in it leaves every path as it was.  Two paths naming
+    one file, where one output would replace the other, are refused first.
     """
+    real = [os.path.realpath(path) for path in paths if path]
+    if len(set(real)) < len(real):
+        raise ValueError(f"two outputs name the same file {max(real, key=real.count)!r}")
     with contextlib.ExitStack() as stack:
         yield [stack.enter_context(atomic_output(path)) if path else None
                for path in paths]

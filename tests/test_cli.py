@@ -421,6 +421,39 @@ class TestNoPartialOutput:
         assert list((tmp_path / "r.csv").iterdir()) == []
 
 
+class TestOneFileForTwoOutputs:
+    """Two outputs given the same path are refused before anything is
+    written: otherwise one would silently replace the other."""
+
+    @pytest.mark.parametrize("command", ["rate", "simulate", "optimize"])
+    def test_is_an_input_error(self, tmp_path, capsys, command):
+        games = tmp_path / "g.csv"
+        games.write_text("period,white,black,result\n1,a,b,1\n"
+                         + ("" if command == "rate" else "2,a,b,0\n"))
+        out = tmp_path / "out"
+        argv = {
+            "rate": ["rate", "--games", games, "--out-snapshot", out, "--report", out],
+            "simulate": ["simulate", "--players", 6, "--periods", 2,
+                         "--games-per-period", 15, "--out-games", out,
+                         "--out-strengths", f"{tmp_path}/./out"],
+            "optimize": ["optimize", "--games", games, "--train-until", 1,
+                         "--trace", out, "--out", out],
+        }[command]
+        assert run(argv) == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "name the same file" in err
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["g.csv"]
+
+    def test_one_snapshot_as_input_and_output_is_kept(self, league_files, capsys):
+        tmp_path, _, per_period = league_files
+        snap = tmp_path / "s.snapshot"
+        assert run(["rate", "--games", per_period[1], "--out-snapshot", snap]) == cli.EXIT_OK
+        assert run(["rate", "--games", per_period[2], "--snapshot", snap,
+                    "--out-snapshot", snap, "--report", tmp_path / "r.csv"]) == cli.EXIT_OK
+        assert store.read_snapshot_file(str(snap)).period == 3
+
+
 class TestSnapshotSettings:
     """rate and predict take a flag not given from the snapshot, and warn when a
     given flag overrides a snapshot value."""

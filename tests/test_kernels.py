@@ -539,8 +539,7 @@ class TestPredictiveProbability:
     @pytest.mark.parametrize("order", ORDERS)
     def test_array_beliefs(self, h, order, chunk_bound):
         """The broadcast form on many games, one game and a broadcast grid;
-        the chunked n-game form ``predictive_probability_rows`` at the default
-        chunk size and at one game per chunk."""
+        the games at the default chunk size and at one game per chunk."""
         games = _games(_game_count(500, order), 10 + order)[:4]
         one_game = tuple(x[:1] for x in games)
         for args in [
@@ -553,7 +552,21 @@ class TestPredictiveProbability:
             assert got.shape == want.shape
             assert np.array_equal(got, want)
         want = ref_predictive_probability_array(*games, h, order)
-        assert np.array_equal(hyperopt.predictive_probability_rows(*games, h, order), want)
+        assert np.array_equal(hyperopt.predictive_probability_array(*games, h, order), want)
         counts = chunk_bound(order * order)
-        assert np.array_equal(hyperopt.predictive_probability_rows(*games, h, order), want)
+        assert np.array_equal(hyperopt.predictive_probability_array(*games, h, order), want)
         assert counts == [len(want)] and len(want) > 1
+
+    @pytest.mark.parametrize("h", HYPERS)
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_broadcast_grid_in_chunks(self, h, order, chunk_bound):
+        """A (2, 9, 9) broadcast grid of 162 games, integrated seven games
+        per chunk, gives the one-block result byte for byte."""
+        grid = (EXTREMES[:, None], 0.5, EXTREMES[None, :], np.array([[0.2], [0.9]])[:, :, None])
+        whole = hyperopt.predictive_probability_array(*grid, h, order)
+        counts = chunk_bound(7 * order * order)
+        got = hyperopt.predictive_probability_array(*grid, h, order)
+        assert got.shape == whole.shape == (2, 9, 9, 3)
+        assert got.tobytes() == whole.tobytes()
+        assert np.array_equal(got, ref_predictive_probability_array(*grid, h, order))
+        assert counts == [math.ceil(162 / 7)]

@@ -6,6 +6,7 @@ independently of the package.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -194,3 +195,170 @@ class TestCompareUpdates:
         row = report.rows[0]
         assert row.mean_abs_diff < 0.02
         assert row.r2_mean > 0.95
+
+
+def reference_compare_updates(games, h, cfg, order=9, stratify=False, reasons=None):
+    """The per-game ``compare_updates`` loop the array pass replaced, on
+    Python floats: one ``engine._newton_step`` and one posterior per game.
+    ``reasons`` gets why each excluded game was excluded."""
+    reasons = [] if reasons is None else reasons
+    focal, opponent, outcome, color = zip(*games)
+    index = [oracle._outcome_index_or_none(y) for y in outcome]
+    valid = [k is not None and f.sigma > 0 and o.sigma > 0
+             for k, f, o in zip(index, focal, opponent)]
+    observed = np.array([k or 0 for k in index])
+    win, draw = observed == 0, observed == 1
+    focal_mu, focal_sigma, opp_mu, opp_sigma = (
+        np.array([getattr(b, field) for b in beliefs])
+        for beliefs, field in ((focal, "mu"), (focal, "sigma"),
+                               (opponent, "mu"), (opponent, "sigma"))
+    )
+    color = np.array(color, dtype=float)
+    d1, d2, p_obs = engine._delta_arrays(
+        focal_mu, opp_mu, opp_sigma, win, draw, color, h, cfg.draw_score_override,
+    )
+    mean, second = oracle.posterior_moments(
+        focal_mu, focal_sigma, opp_mu, opp_sigma, win, draw, color, h, order
+    )
+
+    approx_dmu, oracle_dmu = [], []
+    approx_dlogsd, oracle_dlogsd = [], []
+    mus, draws = [], []
+    for ok, f, y, t1, t2, p, m, m2 in zip(
+        valid, focal, outcome, d1.tolist(), d2.tolist(), p_obs.tolist(),
+        mean.tolist(), second.tolist(),
+    ):
+        if not ok:
+            reasons.append("invalid game")
+            continue
+        if not p > 0:
+            reasons.append("zero p_observed")
+            continue
+        stage = "Newton step"
+        try:
+            mu_post, sigma_post = engine._newton_step([f.player_id], f.mu, f.sigma, t1, t2)
+            stage = "posterior"
+            if math.isnan(m):
+                raise oracle.DegenerateEvidenceError("NaN mean")
+            variance = m2 - m**2
+            if variance <= 0:
+                raise oracle.DegenerateEvidenceError("non-positive variance")
+        except ArithmeticError as exc:
+            reasons.append(f"{stage}: {type(exc).__name__}: {exc.args[-1]}")
+            continue
+        approx_dmu.append(mu_post - f.mu)
+        oracle_dmu.append(m - f.mu)
+        approx_dlogsd.append(math.log(sigma_post) - math.log(f.sigma))
+        oracle_dlogsd.append(0.5 * math.log(variance) - math.log(f.sigma))
+        mus.append(f.mu)
+        draws.append(float(y) == model.DRAW)
+        if math.isnan(variance):
+            reasons.append("kept: NaN variance")
+
+    approx_dmu, oracle_dmu = np.array(approx_dmu), np.array(oracle_dmu)
+    approx_dlogsd, oracle_dlogsd = np.array(approx_dlogsd), np.array(oracle_dlogsd)
+    mus, draws = np.array(mus), np.array(draws, dtype=bool)
+
+    def select(label, mask):
+        if not np.any(mask):
+            return None
+        return oracle._summarize(label, approx_dmu[mask], oracle_dmu[mask],
+                                 approx_dlogsd[mask], oracle_dlogsd[mask])
+
+    rows = [select("all", np.ones(len(approx_dmu), dtype=bool))]
+    if stratify and len(mus):
+        lo, hi = np.quantile(mus, [1 / 3, 2 / 3])
+        rows.extend(select(label, mask) for label, mask in [
+            ("decisive", ~draws),
+            ("drawn", draws),
+            (f"mu<={lo:.2f}", mus <= lo),
+            (f"{lo:.2f}<mu<={hi:.2f}", (mus > lo) & (mus <= hi)),
+            (f"mu>{hi:.2f}", mus > hi),
+        ])
+    excluded = sum(not r.startswith("kept") for r in reasons)
+    return oracle.ComparisonReport([r for r in rows if r is not None], excluded)
+
+
+def _raw_belief(mu, sigma):
+    """A belief that skips ``PlayerBelief``'s checks, as a caller's own
+    record type may."""
+    return types.SimpleNamespace(player_id="x", mu=mu, sigma=sigma)
+
+
+# games that reach every exclusion of compare_updates at some of the
+# hyperparameter points below
+EDGE_GAMES = [
+    (belief(0.0, 0.5), belief(0.0, 0.5, "o"), 0.7, 1),  # invalid outcome
+    (_raw_belief(0.0, 0.0), belief(0.0, 0.5, "o"), 1.0, 1),  # focal sigma 0
+    (belief(0.0, 0.5), _raw_belief(0.0, -1.0), 0.0, -1),  # opponent sigma < 0
+    (belief(800.0, 0.5), belief(-800.0, 0.5, "o"), 0.0, 1),  # p_observed underflows
+    (belief(0.0, 1e-160), belief(0.0, 0.5, "o"), 1.0, 1),  # sigma**-2 overflows
+    (belief(1e155, 1.0), belief(0.0, 0.5, "o"), 1.0, 1),  # mean**2 overflows
+    (belief(1e308, 1e308), belief(0.0, 0.5, "o"), 1.0, 1),  # precision <= 0
+    (belief(0.0, 1e308), belief(0.0, 0.5, "o"), 1.0, -1),  # NaN mean
+    (belief(0.0, 1e154), belief(0.0, 0.5, "o"), 0.0, 1),  # NaN variance, kept
+    (belief(0.0, 3e153), belief(0.0, 0.5, "o"), 0.0, -1),
+] + [
+    # a variance at or below 0 from cancellation
+    (belief(mu, sd), belief(0.0, 0.5, "o"), y, 1)
+    for mu in (3.0, 50.0, 1000.0) for sd in (1e-8, 1e-12) for y in (1.0, 0.5)
+]
+EDGE_HYPERS = [
+    Hyperparameters(),
+    Hyperparameters(alpha0=0.3, alpha1=0.2, beta0=-30.0, beta1=0.2),
+    Hyperparameters(beta0=40.0),
+    # without the draw override the draw coefficient squared overflows: NaN precision
+    Hyperparameters(beta1=1e200),
+]
+EDGE_ORDERS = [2, 9, 20, 50]
+
+
+class TestCompareUpdatesReference:
+    """The array pass against the per-game loop it replaced: the same report
+    text and the same exclusion count, over edge beliefs and random games."""
+
+    @pytest.mark.parametrize("order", EDGE_ORDERS)
+    @pytest.mark.parametrize("override", [True, False])
+    @pytest.mark.parametrize("h", EDGE_HYPERS)
+    def test_matches_the_per_game_loop(self, h, override, order):
+        cfg = EngineConfig(draw_score_override=override)
+        games = _random_games(30, order) + EDGE_GAMES + _random_games(20, 7 * order)
+        with np.errstate(all="ignore"):
+            for stratify in (False, True):
+                want = reference_compare_updates(games, h, cfg, order, stratify)
+                got = oracle.compare_updates(games, h, cfg, order, stratify)
+                assert got.to_delimited() == want.to_delimited()
+                assert got.excluded == want.excluded > 0
+
+    def test_the_edge_games_reach_every_exclusion(self):
+        reasons = set()
+        with np.errstate(all="ignore"):
+            for h in EDGE_HYPERS:
+                for override in (True, False):
+                    for order in EDGE_ORDERS:
+                        found = []
+                        reference_compare_updates(
+                            EDGE_GAMES, h, EngineConfig(draw_score_override=override),
+                            order, reasons=found,
+                        )
+                        reasons.update(found)
+        overflow = "OverflowError: Numerical result out of range"
+        assert {r.split(" [")[0] for r in reasons} == {
+            "invalid game",
+            "zero p_observed",
+            f"Newton step: {overflow}",  # sigma**-2
+            "Newton step: DegenerateUpdateError: non-positive posterior precision",
+            "posterior: DegenerateEvidenceError: NaN mean",
+            f"posterior: {overflow}",  # mean**2
+            "posterior: DegenerateEvidenceError: non-positive variance",
+            "kept: NaN variance",
+        }
+        assert any("[nan]" in r for r in reasons)  # a NaN precision, not only a negative one
+
+    def test_an_all_excluded_set_reports_no_rows(self):
+        games = EDGE_GAMES[:6]
+        with np.errstate(all="ignore"):
+            want = reference_compare_updates(games, H2, CFG, stratify=True)
+            got = oracle.compare_updates(games, H2, CFG, stratify=True)
+        assert got.rows == want.rows == []
+        assert got.excluded == want.excluded == 6

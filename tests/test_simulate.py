@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from drawrating import model, simulate
+from drawrating import engine, hyperopt, model, simulate, store
 from drawrating.engine import EngineConfig
 from drawrating.model import Hyperparameters
 from drawrating.simulate import LeagueConfig
@@ -163,3 +163,29 @@ class TestRecoveryExperiment:
         assert all(math.isfinite(v) for v in report.tracking_mae)
         assert math.isfinite(report.objective)
         assert report.recovered.tau > 0
+
+    @pytest.mark.parametrize("pairing", ["rating-banded", "uniform-random"])
+    @pytest.mark.parametrize("seed", [3, 16])
+    def test_tracking_matches_a_run_period_loop(self, monkeypatch, pairing, seed):
+        """The tracking errors equal those of replaying the league one
+        ``engine.run_period`` call per period, bit for bit."""
+        cfg = LeagueConfig(players=30, periods=5, games_per_period=40, pairing=pairing,
+                           seed=seed)
+        h, engine_cfg = Hyperparameters(beta0=0.4, beta1=0.3, tau=0.45), EngineConfig()
+        monkeypatch.setattr(hyperopt, "optimize", lambda *args, **kwargs:
+                            hyperopt.OptimizationResult(h, 0.0, [], 0))
+        report = simulate.recovery_experiment(cfg, h, engine_cfg, train_until=2)
+
+        league = simulate.simulate_league(cfg, h)
+        state = store.initialize_priors(simulate.initial_ratings(league), engine_cfg)
+        grouped = engine.games_by_period(league.games)
+        tracking = []
+        for t in range(1, cfg.periods + 1):
+            result = engine.run_period(state, grouped.get(t, []), h, engine_cfg)
+            errors = [
+                abs(u.mu_post - league.true_strengths[int(u.player_id[1:]), t - 1])
+                for u in result.updates
+            ]
+            tracking.append(float(np.mean(errors)))
+            state = result.state
+        assert report.tracking_mae == tracking

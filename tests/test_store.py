@@ -242,11 +242,48 @@ class TestSnapshotValidation:
         with pytest.raises(SnapshotFormatError, match="after the 2 player rows"):
             store.load_snapshot(stream)
 
+    def test_a_negative_games_count_is_refused(self):
+        def mutate(ls):
+            parts = ls[6].split(",")
+            parts[3] = "-4"
+            ls[6] = ",".join(parts)
+        with pytest.raises(SnapshotFormatError, match="'bert' has invalid games count -4"):
+            store.load_snapshot(self._corrupt(mutate))
+
+    @pytest.mark.parametrize("column,text", [(1, "zz"), (2, ""), (3, "1.5"), (3, "x")])
+    def test_a_non_numeric_field_names_its_row(self, column, text):
+        def mutate(ls):
+            parts = ls[5].split(",")
+            parts[column] = text
+            ls[5] = ",".join(parts)
+        with pytest.raises(SnapshotFormatError, match=r"^malformed player row \['anna', "):
+            store.load_snapshot(self._corrupt(mutate))
+
     def test_blank_lines_after_the_player_rows_are_read_past(self):
         buf = io.StringIO()
         store.save_snapshot(_snapshot(), buf)
         loaded = store.load_snapshot(io.StringIO(buf.getvalue() + "\n\n"))
         assert loaded.entries == _snapshot().entries
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("second", ["x", "sub/../x", "link"])
+    def test_two_paths_to_one_file_are_refused_before_writing(self, tmp_path, second):
+        (tmp_path / "sub").mkdir()
+        os.symlink(tmp_path / "x", tmp_path / "link")
+        (tmp_path / "x").write_text("kept\n")
+        with pytest.raises(ValueError, match="name the same file"):
+            with store.atomic_outputs(str(tmp_path / "x"), None, str(tmp_path / second)):
+                pytest.fail("the block ran")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "sub", "x"]
+        assert (tmp_path / "x").read_text() == "kept\n"
+
+    def test_distinct_paths_are_all_written(self, tmp_path):
+        with store.atomic_outputs(str(tmp_path / "a"), None, str(tmp_path / "b")) as fhs:
+            fhs[0].write("a")
+            fhs[2].write("b")
+            assert fhs[1] is None
+        assert (tmp_path / "a").read_text() == "a" and (tmp_path / "b").read_text() == "b"
 
 
 class TestInitializePriors:
