@@ -227,14 +227,16 @@ def cmd_optimize(args) -> int:
         initial_state = store.initialize_priors(ratings, cfg)
 
     trace = hyperopt.TraceRecorder()
-    result = hyperopt.optimize(
-        games, cfg, args.train_until,
-        fix_alpha=not args.free_alpha,
-        initial_state=initial_state,
-        trace=trace,
-    )
-    b = result.best
+    # the outputs are opened first, so one that cannot be written is
+    # refused before the search runs
     with store.atomic_outputs(args.trace, args.out) as (trace_fh, out_fh):
+        result = hyperopt.optimize(
+            games, cfg, args.train_until,
+            fix_alpha=not args.free_alpha,
+            initial_state=initial_state,
+            trace=trace,
+        )
+        b = result.best
         if trace_fh:
             trace_fh.write(trace.to_delimited())
         fh = out_fh or sys.stdout

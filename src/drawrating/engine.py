@@ -341,7 +341,8 @@ def compile_history(games: list, initial_state: dict | None, cfg: EngineConfig) 
     """Validate and index a multi-period game history once.
 
     Invalid games are dropped, and so are games of periods below 1.
-    Periods without games compile to empty periods.
+    Periods without games share one compiled empty period, so a far period
+    number costs a tuple slot per period below it, not a compile.
     """
     grouped = games_by_period(games)
     if not grouped:
@@ -358,9 +359,11 @@ def compile_history(games: list, initial_state: dict | None, cfg: EngineConfig) 
     ids = sorted(players)
     index = {pid: k for k, pid in enumerate(ids)}
     source, mu, sigma = _prior_columns(ids, *_state_columns(state), cfg)
+    empty = _compile_period([], index)
     return CompiledHistory(
         np.array(ids, dtype=object), mu, sigma, source >= 0,
-        tuple(_compile_period(period_games, index) for period_games in valid), cfg,
+        tuple(_compile_period(period_games, index) if period_games else empty
+              for period_games in valid), cfg,
     )
 
 

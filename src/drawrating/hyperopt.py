@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import engine, model, oracle
 from .engine import EngineConfig, games_by_period
@@ -251,6 +250,10 @@ def optimize(
     as evaluations, and only the first two kinds are traced.  A start whose whole initial simplex
     scores -inf is stopped there and keeps its start point at -inf.
     """
+    # scipy is imported here, not at the top: it is most of the start-up
+    # time and memory of every other command, none of which needs it
+    from scipy.optimize import minimize
+
     starts = default_starts() if starts is None else list(starts)
     if not starts:
         raise ValueError("at least one start is required")

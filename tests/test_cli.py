@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from drawrating import cli, engine, model, oracle, store
+from drawrating import cli, engine, hyperopt, model, oracle, store
 from drawrating.engine import EngineConfig
 
 
@@ -419,6 +419,62 @@ class TestNoPartialOutput:
         assert "Is a directory" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "r.csv"]
         assert list((tmp_path / "r.csv").iterdir()) == []
+
+
+class TestOptimizeOpensItsOutputsFirst:
+    """optimize opens both outputs before the search: a refused output costs
+    no objective evaluation, and a search that fails changes no file."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        evaluate = hyperopt.evaluate_hyperparameters
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(hyperopt, "evaluate_hyperparameters", counted)
+        return calls
+
+    @pytest.mark.parametrize("outputs", ["unwritable", "one file"])
+    def test_a_refused_output_runs_no_evaluation(self, league_files, tmp_path, capsys,
+                                                 evaluations, outputs):
+        _, games_path, _ = league_files
+        out = tmp_path / "fit.csv"
+        flags = {"unwritable": ["--out", tmp_path / "nodir" / "x.csv"],
+                 "one file": ["--trace", out, "--out", out]}[outputs]
+        before = sorted(tmp_path.iterdir())
+        assert run(["optimize", "--games", games_path, "--train-until", 1,
+                    *flags]) == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert evaluations == []
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_a_search_that_raises_leaves_both_outputs_as_they_were(
+        self, league_files, tmp_path, capsys, evaluations, monkeypatch
+    ):
+        _, games_path, _ = league_files
+        out, trace = tmp_path / "fit.csv", tmp_path / "trace.csv"
+        out.write_text("an older fit\n")
+        trace.write_text("an older trace\n")
+        before = sorted(tmp_path.iterdir())
+        evaluate = hyperopt.evaluate_hyperparameters
+
+        def failing_on_the_third(*args, **kwargs):
+            if len(evaluations) == 2:
+                raise ValueError("the search failed")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(hyperopt, "evaluate_hyperparameters", failing_on_the_third)
+        assert run(["optimize", "--games", games_path, "--train-until", 1,
+                    "--out", out, "--trace", trace]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: the search failed\n"
+        assert len(evaluations) == 2
+        assert sorted(tmp_path.iterdir()) == before
+        assert out.read_text() == "an older fit\n"
+        assert trace.read_text() == "an older trace\n"
 
 
 class TestOneFileForTwoOutputs:

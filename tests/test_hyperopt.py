@@ -4,14 +4,21 @@ Frozen predictive probabilities come from independent dense trapezoid
 integration over both players' beliefs (4001-point grids, +/- 8 sd).
 """
 
+import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from drawrating import engine, hyperopt, model, simulate
+import drawrating
+from drawrating import engine, hyperopt, model, simulate, store
 from drawrating.engine import EngineConfig, PlayerBelief
 from drawrating.model import Hyperparameters
 from drawrating.store import GameRecord
@@ -528,6 +535,62 @@ class TestReplayGuard:
             )
 
 
+class TestEmptyPeriods:
+    """Periods without games share one compiled empty period; the filter
+    still advances sigma once per empty period."""
+
+    def test_a_far_period_compiles_one_empty_period(self):
+        games = [GameRecord(1, "a", "b", 1.0), GameRecord(1, "b", "c", 0.5),
+                 GameRecord(2, "a", "c", 0.0), GameRecord(100_000, "a", "b", 0.5)]
+        tracemalloc.start()
+        try:
+            history = engine.compile_history(games, None, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(history.periods) == 100_000
+        empty = [period for period in history.periods if period.white.size == 0]
+        assert len(empty) == 99_997
+        assert len({id(period) for period in empty}) == 1
+        assert peak < 20_000_000
+
+    @pytest.mark.parametrize("h", GUARD_POINTS)
+    def test_a_shared_empty_period_filters_as_separate_ones(self, h):
+        """Periods 4 to 7 of the guard league without games: the evaluation and
+        every filtered state equal those of a history whose empty periods are
+        compiled one by one."""
+        games, state = _guard_league()
+        games = [dataclasses.replace(g, period=8) if g.period == 5 else g for g in games]
+        shared = engine.compile_history(games, state, CFG)
+        separate = dataclasses.replace(shared, periods=tuple(
+            engine._compile_period([], {}) if period.white.size == 0 else period
+            for period in shared.periods
+        ))
+        assert len({id(p) for p in shared.periods[3:7]}) == 1
+        assert len({id(p) for p in separate.periods[3:7]}) == 4
+
+        def replay(history):
+            ev = hyperopt.evaluate_hyperparameters(history, h, CFG, 2)
+            states = []
+            mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
+            for period in history.periods:
+                got = engine.filter_period(period, history.ids, mu, sigma, tracked, h, CFG)
+                states.append((mu.copy(), sigma.copy(), tracked.copy(), *got))
+            return repr((ev.total, ev.per_period_loglik)), states
+
+        want, want_states = replay(separate)
+        got, got_states = replay(shared)
+        assert got == want
+        for got_arrays, want_arrays in zip(got_states, want_states):
+            assert all(map(np.array_equal, got_arrays, want_arrays))
+        # each empty period advances sigma of exactly the tracked players
+        # below the cap, and keeps every mean
+        for before, after in zip(got_states[2:6], got_states[3:7]):
+            grows = before[2] & (before[1] < CFG.sigma_cap)
+            assert np.array_equal(after[1] > before[1], grows)
+            assert np.array_equal(after[0], before[0])
+
+
 def _chunked_league(players, periods, games_per_period):
     league = simulate.simulate_league(
         simulate.LeagueConfig(players, periods, games_per_period, "uniform-random", seed=5),
@@ -585,3 +648,66 @@ class TestChunkedPasses:
         finally:
             tracemalloc.stop()
         assert peak - start < 2_000_000
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="minor page faults as Linux counts them")
+    def test_a_warm_fit_evaluation_takes_no_page_faults(self):
+        """On the benchmark's fit league (150 players, 8 periods of 1 500
+        games) a warm evaluation reuses the heap: none of its temporaries
+        makes glibc trim the heap top and fault it back in."""
+        import resource
+
+        league = simulate.simulate_league(
+            simulate.LeagueConfig(150, 8, 1500, "uniform-random", 2.0, 1.5, seed=1), H2,
+        )
+        state = store.initialize_priors(simulate.initial_ratings(league), CFG)
+        history = engine.compile_history(league.games, state, CFG)
+        for _ in range(5):
+            hyperopt.evaluate_hyperparameters(history, H2, CFG, 4)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            hyperopt.evaluate_hyperparameters(history, H2, CFG, 4)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 50
+
+
+class TestScipyIsLoadedOnlyBySearch:
+    """Only ``hyperopt.optimize`` needs scipy, so importing the package or
+    its command line loads none of it; the search imports it when run."""
+
+    def test_in_a_fresh_interpreter(self):
+        script = textwrap.dedent("""
+            import json, sys
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+            import drawrating
+            after_package = scipy_modules()
+            import drawrating.cli
+            after_cli = scipy_modules()
+            from drawrating import engine, hyperopt
+            from drawrating.model import Hyperparameters
+
+            def objective(h):
+                return -((h.beta0 - 0.8) ** 2 + (h.beta1 - 0.25) ** 2 + (h.tau - 0.3) ** 2)
+
+            result = hyperopt.optimize(
+                [], engine.EngineConfig(), 1,
+                starts=[Hyperparameters(beta0=0.2, beta1=0.6, tau=0.15)],
+                objective_fn=objective,
+            )
+            print(json.dumps({
+                "package": after_package, "cli": after_cli,
+                "converged": result.converged,
+                "best": [result.best.beta0, result.best.beta1, result.best.tau],
+                "optimize_loaded": "scipy.optimize" in sys.modules,
+            }))
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(drawrating.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        got = json.loads(done.stdout)
+        assert got["package"] == [] and got["cli"] == []
+        assert got["converged"] and got["optimize_loaded"]
+        np.testing.assert_allclose(got["best"], [0.8, 0.25, 0.3], atol=1e-3)
