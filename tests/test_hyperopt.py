@@ -535,6 +535,18 @@ class TestReplayGuard:
             )
 
 
+def _replay(history, h, train_until):
+    """The objective's repr and, after each period of a plain filter replay,
+    (mu, sigma, tracked, counts, posterior sd)."""
+    ev = hyperopt.evaluate_hyperparameters(history, h, CFG, train_until)
+    states = []
+    mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
+    for period in history.periods:
+        got = engine.filter_period(period, history.ids, mu, sigma, tracked, h, CFG)
+        states.append((mu.copy(), sigma.copy(), tracked.copy(), *got))
+    return repr((ev.total, ev.per_period_loglik)), states
+
+
 class TestEmptyPeriods:
     """Periods without games share one compiled empty period; the filter
     still advances sigma once per empty period."""
@@ -569,17 +581,8 @@ class TestEmptyPeriods:
         assert len({id(p) for p in shared.periods[3:7]}) == 1
         assert len({id(p) for p in separate.periods[3:7]}) == 4
 
-        def replay(history):
-            ev = hyperopt.evaluate_hyperparameters(history, h, CFG, 2)
-            states = []
-            mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
-            for period in history.periods:
-                got = engine.filter_period(period, history.ids, mu, sigma, tracked, h, CFG)
-                states.append((mu.copy(), sigma.copy(), tracked.copy(), *got))
-            return repr((ev.total, ev.per_period_loglik)), states
-
-        want, want_states = replay(separate)
-        got, got_states = replay(shared)
+        want, want_states = _replay(separate, h, 2)
+        got, got_states = _replay(shared, h, 2)
         assert got == want
         for got_arrays, want_arrays in zip(got_states, want_states):
             assert all(map(np.array_equal, got_arrays, want_arrays))
@@ -615,21 +618,11 @@ class TestChunkedPasses:
         """Periods of 2 500 games; at the default bound a period's 5 000
         terms take two chunks and its 2 500 scored games three."""
         history = _chunked_league(200, 3, 2500)
-
-        def replay():
-            ev = hyperopt.evaluate_hyperparameters(history, h, CFG, 1)
-            states = []
-            mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
-            for period in history.periods:
-                got = engine.filter_period(period, history.ids, mu, sigma, tracked, h, CFG)
-                states.append((mu.copy(), sigma.copy(), tracked.copy(), *got))
-            return repr((ev.total, ev.per_period_loglik)), states
-
         default = chunk_bound(engine.GRID_CHUNK)
-        want, want_states = replay()
+        want, want_states = _replay(history, h, 1)
         assert set(default) == {2, 3}
         chunks = chunk_bound(bound)
-        got, got_states = replay()
+        got, got_states = _replay(history, h, 1)
         assert got == want
         for got_arrays, want_arrays in zip(got_states, want_states):
             assert all(map(np.array_equal, got_arrays, want_arrays))
