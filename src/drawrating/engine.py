@@ -132,42 +132,48 @@ class PeriodResult:
     rejected: list = field(default_factory=list)
 
 
-def _delta_arrays(focal_mu, opp_mu, opp_sigma, win, draw, color, h, draw_score_override):
+def _delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_override):
     """Vectorized game-term computation over inputs that broadcast to 1-D.
 
-    ``win`` and ``draw`` are boolean masks of the observed outcome from the
-    focal player's side (neither: a loss).  The outcome model is evaluated
-    at opponent nodes mu_j - sigma_j and mu_j + sigma_j, the rows of one
-    (2, n) block, with the focal strength fixed at its prior mean.  The
-    equal 1/2 node weights cancel between numerator and denominator of the
-    delta terms; p_observed keeps the uncancelled two-node sum.
+    ``outcome`` is the observed outcome's index from the focal player's side
+    (0 win, 1 draw, 2 loss).  The outcome model is evaluated at opponent
+    nodes mu_j - sigma_j and mu_j + sigma_j, the rows of one (2, n) block,
+    with the focal strength fixed at its prior mean.  The equal 1/2 node
+    weights cancel between numerator and denominator of the delta terms;
+    p_observed keeps the uncancelled two-node sum.
     """
     nodes = opp_mu + np.array([[-1.0], [1.0]]) * opp_sigma
     # a huge draw coefficient overflows and p_obs can underflow to exactly 0;
     # the resulting NaNs are caught by the precision check downstream
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if h.alpha1:
-            a = model.score_coefficient_columns(color, h, draw_score_override)
-            p = tuple(map(np.exp, model.log_probability_columns(focal_mu, nodes, color, h)))
-            p_y = model.observed_column(win, draw, p)
-            d1, d2 = model.derivative_arrays(p, a, p_y, model.observed_column(win, draw, a))
+            a = np.stack(model.score_coefficient_columns(color, h, draw_score_override))
+            a_y = model.observed_column(outcome, a)
+            p = np.exp(model.log_probability_columns(focal_mu, nodes, color, h))
+            del nodes
+            s1, s2 = model.score_sums(p, a)
         else:
-            # the coefficients are the constants (1, a_draw, +/-0), so the loss
-            # probability drops out of s1 = sum(p a) and s2 = sum(p a^2)
+            # the coefficients are the constants (1, a_draw, +/-0): the observed
+            # one comes from a table, and the loss probability drops out of
+            # s1 = sum(p a) and s2 = sum(p a^2)
             a_draw = model.draw_coefficient(h, draw_score_override)
-            (p_w, p_d, loss), log_total = model.shifted_logit_columns(focal_mu, nodes, color, h)
-            p_y = model.observed_column(win, draw, (p_w, p_d, loss))
-            # in place, the loss logit freed: fewer live temporaries keep the
-            # heap from growing and being trimmed at every call
-            del loss
-            for x in (p_y, p_w, p_d):
-                x -= log_total
-                np.exp(x, out=x)
-            d1, d2 = model.selected_derivatives(
-                p_y, win + draw * a_draw, p_w + p_d * a_draw, p_w + p_d * (a_draw * a_draw)
-            )
+            a_y = np.array([1.0, a_draw, 0.0]).take(outcome)
+            # normalised in place, each temporary freed once used: fewer live
+            # temporaries keep the heap from growing and being trimmed at every call
+            p, log_total = model.shifted_logit_columns(focal_mu, nodes, color, h)
+            del nodes
+            p -= log_total
+            del log_total
+            np.exp(p, out=p)
+            s1, s2 = p[0] + p[1] * a_draw, p[0] + p[1] * (a_draw * a_draw)
+        # p_y, d1 and d2 at both nodes, one block for the node sums, written
+        # over p: its rows are not read once p_y is taken from it
+        rows = p
+        rows[0] = model.observed_column(outcome, p)
+        model.selected_derivatives(rows[0], a_y, s1, s2, out=rows[1:])
+        del s1, s2
         # each node row is added to 0.0 in turn, so a zero term sums as +0.0
-        p_obs, num1, num2 = ((0.0 + rows[0]) + rows[1] for rows in (p_y, d1, d2))
+        p_obs, num1, num2 = (0.0 + rows[:, 0]) + rows[:, 1]
         delta1 = num1 / p_obs
         delta2 = num2 / p_obs - delta1**2
     return delta1, delta2, p_obs
@@ -186,8 +192,7 @@ def game_term(
     if opponent.sigma <= 0 or focal.sigma <= 0:
         raise ValueError("beliefs need positive sigma")
     d1, d2, p = _delta_arrays(
-        focal.mu, opponent.mu, opponent.sigma, observed == 0, observed == 1, color, h,
-        cfg.draw_score_override,
+        focal.mu, opponent.mu, opponent.sigma, observed, color, h, cfg.draw_score_override,
     )
     if not (p[0] > 0):
         raise DegenerateUpdateError(
@@ -258,24 +263,23 @@ def games_by_period(games: list) -> dict:
 
 @dataclass(frozen=True)
 class CompiledPeriod:
-    """One period's valid games as player-index arrays and outcome masks.
+    """One period's valid games as player-index and outcome-index arrays.
 
-    ``white``, ``black``, ``white_won`` and ``drawn`` keep the input order,
-    for scoring.  The directed terms ``focal``, ``opp``, ``win`` and ``draw``
-    (the focal player's outcome masks) and ``color``, two per game, are
-    sorted by (focal, opp, outcome, color), so every sum over them runs in
-    a fixed order whatever the input order.  ``players`` holds the focal
-    players in ascending order, and ``games`` the number of games of each.
+    ``white``, ``black`` and ``observed`` (each game's outcome index from
+    White's side: 0 win, 1 draw, 2 loss) keep the input order, for scoring.
+    The directed terms ``focal``, ``opp``, ``outcome`` (the index from the
+    focal player's side) and ``color``, two per game, are sorted by (focal,
+    opp, outcome score, color), the index descending, so every sum over
+    them runs in a fixed order whatever the input order.  ``players`` holds the focal players in
+    ascending order, and ``games`` the number of games of each.
     """
 
     white: np.ndarray
     black: np.ndarray
-    white_won: np.ndarray
-    drawn: np.ndarray
+    observed: np.ndarray
     focal: np.ndarray
     opp: np.ndarray
-    win: np.ndarray
-    draw: np.ndarray
+    outcome: np.ndarray
     color: np.ndarray
     players: np.ndarray
     games: np.ndarray
@@ -300,7 +304,7 @@ class CompiledHistory:
 
 
 def _compile_period(games: list, index: dict) -> CompiledPeriod:
-    """Index arrays and outcome masks of already validated games."""
+    """Player-index and outcome-index arrays of already validated games."""
     white = np.array([index[g.white_id] for g in games], dtype=np.intp)
     black = np.array([index[g.black_id] for g in games], dtype=np.intp)
     observed = np.array([model.outcome_index(g.outcome) for g in games], dtype=np.intp)
@@ -313,8 +317,7 @@ def _compile_period(games: list, index: dict) -> CompiledPeriod:
     counts = np.bincount(focal)
     players = np.flatnonzero(counts)
     return CompiledPeriod(
-        white, black, observed == 0, observed == 1,
-        focal[order], opp[order], (outcome == 0)[order], (outcome == 1)[order], color[order],
+        white, black, observed, focal[order], opp[order], outcome[order], color[order],
         players, counts[players],
     )
 
@@ -387,8 +390,8 @@ def filter_period(period: CompiledPeriod, ids, mu, sigma, tracked, h: Hyperparam
         for part in chunks(period.focal.size, 2):
             focal, opp = period.focal[part], period.opp[part]
             d1[part], d2[part], _ = _delta_arrays(
-                mu[focal], mu[opp], sigma[opp], period.win[part], period.draw[part],
-                period.color[part], h, cfg.draw_score_override,
+                mu[focal], mu[opp], sigma[opp], period.outcome[part], period.color[part], h,
+                cfg.draw_score_override,
             )
         mu[players], sigma[players] = _newton_step(
             map(ids.__getitem__, players), mu[players], sigma[players],

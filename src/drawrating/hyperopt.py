@@ -70,7 +70,8 @@ class TraceRecorder:
 
 def _node_grid(white_mu, white_sigma, black_mu, black_sigma, h: Hyperparameters, order: int,
                kernel=model.log_probability_columns):
-    """Log outcome columns (win, draw, loss) of n games on the quadrature grid.
+    """Log outcome columns (win, draw, loss) of n games on the quadrature grid,
+    stacked on a leading axis.
 
     The belief-integrated outcome probability sums these columns, exponentiated
     and times the returned node-pair weights, over both players' nodes.  The
@@ -122,25 +123,25 @@ def predictive_probability_array(
 
 
 def _observed_probability(
-    white_mu, white_sigma, black_mu, black_sigma, white_won, drawn, h: Hyperparameters,
-    order: int,
+    white_mu, white_sigma, black_mu, black_sigma, observed, h: Hyperparameters, order: int,
 ) -> np.ndarray:
     """Belief-integrated probability of each game's observed outcome.
 
     The scoring form of ``predictive_probability_array``: only the observed
-    outcome's shifted logit, picked by the masks ``white_won`` and ``drawn``,
-    is normalised and exponentiated, in ``engine.chunks`` of ``order**2`` node
-    pairs per game.
+    outcome's shifted logit, picked by the outcome index ``observed`` (0 win,
+    1 draw, 2 loss, from White's side), is normalised and exponentiated, in
+    ``engine.chunks`` of ``order**2`` node pairs per game.
     """
-    p = np.empty(len(white_won))
-    for part in engine.chunks(len(white_won), order * order):
+    p = np.empty(len(observed))
+    for part in engine.chunks(len(observed), order * order):
         beliefs = (x[part] for x in (white_mu, white_sigma, black_mu, black_sigma))
         (logits, log_total), w2 = _node_grid(*beliefs, h, order, model.shifted_logit_columns)
         # in place, the logits freed: no temporary outlives its chunk, and the
         # heap is not grown and trimmed at every call
-        terms = model.observed_column(white_won[part], drawn[part], logits)
+        terms = model.observed_column(observed[part], logits)
+        del logits
         terms -= log_total
-        del logits, log_total
+        del log_total
         np.exp(terms, out=terms)
         terms *= w2
         p[part] = _pair_sum(terms, order, part.stop - part.start)
@@ -160,7 +161,9 @@ def evaluate_hyperparameters(
     Runs the filter over periods 1..train_until, then alternates scoring a
     period's games against the current priors with folding them in, exactly
     once per validation period; the last period is scored only, since
-    nothing reads the beliefs after it.  Future outcomes are never read
+    nothing reads the beliefs after it.  A run of empty periods stops being
+    filtered once one of them leaves sigma unchanged (every player at the
+    cap, or a tau too small to move it).  Future outcomes are never read
     before their period is scored.  ``games`` is a game list or a history
     compiled by ``engine.compile_history``, which already holds the initial
     state.
@@ -181,22 +184,25 @@ def evaluate_hyperparameters(
     mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
     per_period = []
     evaluated = 0
+    settled = False  # an empty period's time advance changed no sigma
     for number, period in enumerate(history.periods, start=1):
+        n = len(period.white)
         if number > train_until:
-            n = len(period.white)
             loglik = 0.0
             if n:
                 white, black = period.white, period.black
                 p = _observed_probability(
-                    mu[white], sigma[white], mu[black], sigma[black], period.white_won,
-                    period.drawn, h, order,
+                    mu[white], sigma[white], mu[black], sigma[black], period.observed, h, order,
                 )
                 with np.errstate(divide="ignore"):  # an underflown outcome scores -inf
                     loglik = float(np.log(p).sum())
             per_period.append(loglik)
             evaluated += n
-        if number < last:
-            engine.filter_period(period, history.ids, mu, sigma, tracked, h, cfg)
+        # an empty period only advances sigma, so once an advance leaves every
+        # bit as it was, each empty period up to the next games is a no-op
+        if number < last and not (settled and not n):
+            _, sigma_post = engine.filter_period(period, history.ids, mu, sigma, tracked, h, cfg)
+            settled = not n and np.array_equal(sigma_post, sigma)
     return PredictiveEvaluation(tuple(per_period), math.fsum(per_period), evaluated)
 
 

@@ -69,12 +69,14 @@ def _check_color(color) -> None:
 
 
 def shifted_logit_columns(theta_i, theta_j, color, h: Hyperparameters):
-    """Outcome logits (win, draw, loss) less the largest, and the log of their
-    exponentials' sum, which each log probability subtracts.
+    """Outcome logits (win, draw, loss) less the largest, stacked on a leading
+    axis of length 3, and the log of their exponentials' sum, which each log
+    probability subtracts.
 
     A closed-form three-way log-sum-exp: the largest logit is subtracted
     before exponentiating, so extreme strengths stay finite, and the three
-    exponentials are added in the order numpy's length-3 ``sum`` uses.
+    exponentials (one ``np.exp`` over the block) are added in the order
+    numpy's length-3 ``sum`` uses.
     Without a white advantage (``alpha0 == alpha1 == 0``) ``color`` is not
     read; skipping its zero terms changes no value at a finite average strength.
     Overflowing inputs give NaN or infinite columns, without a warning.
@@ -86,17 +88,26 @@ def shifted_logit_columns(theta_i, theta_j, color, h: Hyperparameters):
             advantage = color * (h.alpha0 + h.alpha1 * avg) / 4.0
             win, loss = win + advantage, loss - advantage
         draw = h.beta0 + (1.0 + h.beta1) * avg
+        del avg
         top = np.maximum(np.maximum(win, draw), loss)
-        win, draw, loss = win - top, draw - top, loss - top
+        logits = np.empty((3, *np.shape(top)))
+        np.subtract(win, top, out=logits[0, ...])
+        np.subtract(draw, top, out=logits[1, ...])
+        np.subtract(loss, top, out=logits[2, ...])
+        # freed before the exponentials' block is allocated: with them alive,
+        # the heap grows and is trimmed at every call
+        del win, draw, loss, top
+        exp = np.exp(logits)
         # exact zeros are legal probabilities: log(0) is -inf
-        log_total = np.log((np.exp(win) + np.exp(draw)) + np.exp(loss))
-    return (win, draw, loss), log_total
+        log_total = np.log((exp[0] + exp[1]) + exp[2])
+    return logits, log_total
 
 
 def log_probability_columns(theta_i, theta_j, color, h: Hyperparameters):
-    """Log outcome probabilities (win, draw, loss) as three broadcast arrays."""
-    (win, draw, loss), log_total = shifted_logit_columns(theta_i, theta_j, color, h)
-    return win - log_total, draw - log_total, loss - log_total
+    """Log outcome probabilities (win, draw, loss), stacked on a leading axis."""
+    logits, log_total = shifted_logit_columns(theta_i, theta_j, color, h)
+    logits -= log_total
+    return logits
 
 
 def log_probability_array(theta_i, theta_j, color, h: Hyperparameters) -> np.ndarray:
@@ -139,10 +150,13 @@ def score_coefficient_columns(color, h: Hyperparameters, draw_score_override: bo
     return a_win, np.full_like(a_win, draw_coefficient(h, draw_score_override)), a_loss
 
 
-def observed_column(win, draw, columns):
-    """The (win, draw, loss) ``columns``' entry picked by the boolean masks
-    ``win`` and ``draw`` (neither: the loss entry); broadcasts."""
-    return np.where(win, columns[0], np.where(draw, columns[1], columns[2]))
+def observed_column(outcome, block):
+    """The entry of the stacked (win, draw, loss) ``block`` at the outcome
+    index ``outcome`` (0 win, 1 draw, 2 loss, ``intp``), which broadcasts
+    against ``block[0]``: one flat ``take`` from a C-contiguous block."""
+    shape = block.shape[1:]
+    cells = block.size // 3
+    return block.take(outcome * cells + np.arange(cells).reshape(shape))
 
 
 def score_coefficients(
@@ -164,6 +178,14 @@ def score_coefficients(
     return np.stack(score_coefficient_columns(color, h, draw_score_override), axis=-1)
 
 
+def score_sums(p, a):
+    """s1 = sum(p a) and s2 = sum(p a^2) over (win, draw, loss) probability
+    columns ``p`` and score coefficient columns ``a``."""
+    (p_w, p_d, p_l), (a_w, a_d, a_l) = p, a
+    return ((p_w * a_w + p_l * a_l) + p_d * a_d,
+            (p_w * (a_w * a_w) + p_l * (a_l * a_l)) + p_d * (a_d * a_d))
+
+
 def derivative_arrays(p, a, p_c, a_c):
     """First two theta_i-derivatives of selected outcome probabilities.
 
@@ -173,16 +195,15 @@ def derivative_arrays(p, a, p_c, a_c):
     p_c (a_c - s1) and p_c (a_c^2 - s2 - 2 s1 (a_c - s1)), so only the
     selected outcomes' terms are formed.
     """
-    (p_w, p_d, p_l), (a_w, a_d, a_l) = p, a
-    s1 = (p_w * a_w + p_l * a_l) + p_d * a_d
-    s2 = (p_w * (a_w * a_w) + p_l * (a_l * a_l)) + p_d * (a_d * a_d)
-    return selected_derivatives(p_c, a_c, s1, s2)
+    return selected_derivatives(p_c, a_c, *score_sums(p, a))
 
 
-def selected_derivatives(p_c, a_c, s1, s2):
-    """``derivative_arrays`` from the sums s1 = sum(p a) and s2 = sum(p a^2)."""
+def selected_derivatives(p_c, a_c, s1, s2, out=(None, None)):
+    """``derivative_arrays`` from the sums s1 = sum(p a) and s2 = sum(p a^2),
+    written to the two arrays of ``out`` if given."""
     residual = a_c - s1
-    return p_c * residual, p_c * (a_c * a_c - s2 - 2.0 * s1 * residual)
+    return (np.multiply(p_c, residual, out=out[0]),
+            np.multiply(p_c, a_c * a_c - s2 - 2.0 * s1 * residual, out=out[1]))
 
 
 def probability_derivatives(

@@ -60,12 +60,12 @@ def gh_rule(order: int) -> QuadratureRule:
     return QuadratureRule(order, nodes, weights)
 
 
-def posterior_moments(focal_mu, focal_sigma, opp_mu, opp_sigma, win, draw, color,
+def posterior_moments(focal_mu, focal_sigma, opp_mu, opp_sigma, outcome, color,
                       h: Hyperparameters, order: int):
     """Posterior mean and second moment of the focal strength, one game per element.
 
-    Takes 1-D arrays; ``win`` and ``draw`` mask the observed outcome from the
-    focal player's side (neither: a loss).
+    Takes 1-D arrays; ``outcome`` is the observed outcome's index from the
+    focal player's side (0 win, 1 draw, 2 loss).
     Each game's (order, order) tensor grid, focal player on the first axis,
     is kept in log space so extreme nodes cannot overflow.  A game whose
     realized outcome has zero probability at every node pair gets a NaN
@@ -81,7 +81,8 @@ def posterior_moments(focal_mu, focal_sigma, opp_mu, opp_sigma, win, draw, color
         columns = model.log_probability_columns(
             theta_i[:, :, None], theta_j[:, None, :], color[part, None, None], h
         )
-        logp = model.observed_column(win[part, None, None], draw[part, None, None], columns)
+        logp = model.observed_column(outcome[part, None, None], columns)
+        del columns
         log_terms = log_w2 + logp
         shift = log_terms.max(axis=(1, 2))
         with np.errstate(invalid="ignore"):  # a non-finite shift gives NaN moments
@@ -111,11 +112,11 @@ def oracle_posterior(
     The one-game call of ``posterior_moments``, refusing degenerate evidence.
     """
     _check_order(order)
-    observed = np.array([model.outcome_index(outcome)])
     mean, second = posterior_moments(
         *(np.array([v], dtype=float) for v in
           (focal.mu, focal.sigma, opponent.mu, opponent.sigma)),
-        observed == 0, observed == 1, np.array([color], dtype=float), h, order,
+        np.array([model.outcome_index(outcome)], dtype=np.intp), np.array([color], dtype=float),
+        h, order,
     )
     mean, second = float(mean[0]), float(second[0])
     if math.isnan(mean):
@@ -216,8 +217,7 @@ def compare_updates(
     _check_order(order)
     focal, opponent, outcome, color = zip(*games)
     index = [_outcome_index_or_none(y) for y in outcome]
-    observed = np.array([k or 0 for k in index])  # a stand-in win where invalid
-    win, draw = observed == 0, observed == 1
+    observed = np.array([k or 0 for k in index], dtype=np.intp)  # a stand-in win where invalid
     focal_mu, focal_sigma, opp_mu, opp_sigma = (
         np.array([getattr(b, field) for b in beliefs])
         for beliefs, field in ((focal, "mu"), (focal, "sigma"),
@@ -225,10 +225,10 @@ def compare_updates(
     )
     color = np.array(color, dtype=float)
     d1, d2, p_obs = engine._delta_arrays(
-        focal_mu, opp_mu, opp_sigma, win, draw, color, h, cfg.draw_score_override,
+        focal_mu, opp_mu, opp_sigma, observed, color, h, cfg.draw_score_override,
     )
     mean, second = posterior_moments(
-        focal_mu, focal_sigma, opp_mu, opp_sigma, win, draw, color, h, order
+        focal_mu, focal_sigma, opp_mu, opp_sigma, observed, color, h, order
     )
     # float_power calls libm pow per element, as Python's float ** does (np.power
     # differs in the last bit); where ** would overflow, the game is excluded
@@ -245,7 +245,7 @@ def compare_updates(
     oracle_dmu = mean[keep] - mus
     approx_dlogsd = _log(np.float_power(precision, -0.5)) - log_sigma
     oracle_dlogsd = 0.5 * _log(variance[keep]) - log_sigma
-    draws = draw[keep]
+    draws = observed[keep] == 1
 
     def select(label, mask):
         if not np.any(mask):

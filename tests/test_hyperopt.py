@@ -594,6 +594,72 @@ class TestEmptyPeriods:
             assert np.array_equal(after[0], before[0])
 
 
+def _per_period_objective(history, h, train_until):
+    """repr((total, per_period_loglik)) of a plain replay that scores and
+    filters every period, empty or not."""
+    mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
+    per_period = []
+    filter_period = engine.filter_period
+    for number, period in enumerate(history.periods, start=1):
+        if number > train_until:
+            white, black = period.white, period.black
+            p = hyperopt._observed_probability(
+                mu[white], sigma[white], mu[black], sigma[black], period.observed, h, 3
+            )
+            with np.errstate(divide="ignore"):
+                per_period.append(float(np.log(p).sum()))
+        if number < len(history.periods):
+            filter_period(period, history.ids, mu, sigma, tracked, h, CFG)
+    return repr((math.fsum(per_period), tuple(per_period)))
+
+
+class TestSettledEmptyPeriods:
+    """A run of empty periods is filtered only until an advance leaves
+    sigma unchanged; the objective keeps every bit."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        filter_period = engine.filter_period
+
+        def counted(*args):
+            calls.append(args[0])
+            return filter_period(*args)
+
+        monkeypatch.setattr(engine, "filter_period", counted)
+        return calls
+
+    def test_a_far_period_filters_few_periods(self, monkeypatch):
+        games = [GameRecord(1, "a", "b", 1.0), GameRecord(1, "b", "c", 0.5),
+                 GameRecord(2, "a", "c", 0.0), GameRecord(100_000, "a", "b", 0.5)]
+        history = engine.compile_history(games, None, CFG)
+        want = _per_period_objective(history, H2, 1)
+        calls = self._counted(monkeypatch)
+        ev = hyperopt.evaluate_hyperparameters(history, H2, CFG, 1)
+        assert repr((ev.total, ev.per_period_loglik)) == want
+        assert len(ev.per_period_loglik) == 99_999
+        assert len(calls) < 100
+
+    @pytest.mark.parametrize("tau,settles", [(0.0, True), (0.01, False), (0.14391, True)])
+    def test_a_gap_between_rated_players_keeps_the_objective(self, monkeypatch, tau, settles):
+        """The guard league with its last period moved 3 000 periods on:
+        rated players below the cap sit through 3 001 empty periods.  At
+        tau = 0.01 some of them are still below the cap when the gap ends,
+        so every period is filtered."""
+        games, state = _guard_league()
+        games = [dataclasses.replace(g, period=3005) if g.period == 5 else g for g in games]
+        history = engine.compile_history(games, state, CFG)
+        h = dataclasses.replace(H2, tau=tau)
+        want = _per_period_objective(history, h, 2)
+        calls = self._counted(monkeypatch)
+        ev = hyperopt.evaluate_hyperparameters(history, h, CFG, 2)
+        assert repr((ev.total, ev.per_period_loglik)) == want
+        assert len(ev.per_period_loglik) == 3003
+        assert (len(calls) < 100) == settles
+        if not settles:
+            assert len(calls) == len(history.periods) - 1
+
+
 def _chunked_league(players, periods, games_per_period):
     league = simulate.simulate_league(
         simulate.LeagueConfig(players, periods, games_per_period, "uniform-random", seed=5),

@@ -10,10 +10,12 @@ comparison is exact (``np.array_equal``): the per-column kernels must add
 and multiply in the same order, not merely agree to rounding.
 
 A second set of references is the per-column form the package used before
-it compiled outcome masks: the game-term kernel decoding float outcomes and
+it compiled outcome indices: the game-term kernel decoding float outcomes and
 picking columns with ``np.choose``, one opponent node at a time, the
 scoring form picking its column with ``np.choose``, and the period compiler
-and filter step built on them.
+and filter step built on them.  A third is the nested ``np.where`` over
+boolean win and draw masks that picked the observed column before
+``model.observed_column`` took it from a stacked block by index.
 """
 
 import math
@@ -174,15 +176,15 @@ def ref_observed_probability(white_mu, white_sigma, black_mu, black_sigma, obser
     return p[np.arange(len(observed)), observed]
 
 
-def masks(outcome):
-    """(win, draw) masks of float outcomes."""
-    outcome = np.asarray(outcome)
-    return outcome == model.WIN, outcome == model.DRAW
+def indices(outcome):
+    """Outcome indices (0 win, 1 draw, 2 loss) of float outcomes."""
+    return (2.0 - 2.0 * np.asarray(outcome, dtype=float)).astype(np.intp)
 
 
-def index_masks(observed):
-    """(win, draw) masks of outcome indices."""
-    return observed == 0, observed == 1
+def where_column(win, draw, columns):
+    """The (win, draw, loss) ``columns``' entry picked by the boolean masks
+    ``win`` and ``draw`` (neither: the loss entry); broadcasts."""
+    return np.where(win, columns[0], np.where(draw, columns[1], columns[2]))
 
 
 def assert_identical(actual, expected):
@@ -275,8 +277,8 @@ def coefficient_delta_arrays(focal_mu, opp_mu, opp_sigma, win, draw, color, h,
     p = tuple(map(np.exp, model.log_probability_columns(
         focal_mu, opp_mu + np.array([[-1.0], [1.0]]) * opp_sigma, color, h
     )))
-    p_y = model.observed_column(win, draw, p)
-    d1, d2 = model.derivative_arrays(p, a, p_y, model.observed_column(win, draw, a))
+    p_y = where_column(win, draw, p)
+    d1, d2 = model.derivative_arrays(p, a, p_y, where_column(win, draw, a))
     p_obs, num1, num2 = ((0.0 + rows[0]) + rows[1] for rows in (p_y, d1, d2))
     with np.errstate(all="ignore"):
         delta1 = num1 / p_obs
@@ -286,7 +288,7 @@ def coefficient_delta_arrays(focal_mu, opp_mu, opp_sigma, win, draw, color, h,
 def delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_override):
     """``engine._delta_arrays`` of float outcomes."""
     return engine._delta_arrays(
-        focal_mu, opp_mu, opp_sigma, *masks(outcome), color, h, draw_score_override
+        focal_mu, opp_mu, opp_sigma, indices(outcome), color, h, draw_score_override
     )
 
 
@@ -326,10 +328,11 @@ class TestDeltaArrays:
         grid = np.meshgrid(EDGES, EDGES, np.abs(EDGES[2:]), [0, 1, 2], [1.0, -1.0],
                            indexing="ij")
         focal, opp, sigma, observed, color = (x.ravel() for x in grid)
-        args = (focal, opp, sigma, observed == 0, observed == 1, color, h, override)
         with np.errstate(all="ignore"):
-            want = coefficient_delta_arrays(*args)
-        got = engine._delta_arrays(*args)
+            want = coefficient_delta_arrays(
+                focal, opp, sigma, observed == 0, observed == 1, color, h, override
+            )
+        got = engine._delta_arrays(focal, opp, sigma, observed, color, h, override)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
     @pytest.mark.parametrize("override", [True, False])
@@ -342,6 +345,47 @@ class TestDeltaArrays:
             assert_identical(got, choose_delta_arrays(*args))
 
 
+class TestObservedColumn:
+    """``model.observed_column`` against the nested ``np.where`` over masks,
+    byte for byte, in the layouts its callers use."""
+
+    @staticmethod
+    def _block(shape, rng):
+        """Random entries, a fifth of them (and at least one of each where
+        there is room) NaN, +/-inf, +0.0 or -0.0."""
+        block = rng.normal(0.0, 3.0, shape)
+        special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+        picked = rng.permutation(block.size)[:max(block.size // 5, min(block.size, 5))]
+        block.flat[picked] = np.resize(special, len(picked))
+        return block
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 7, 3000])
+    @pytest.mark.parametrize("layout", ["filter", "scoring", "oracle", "table"])
+    def test_matches_the_nested_where(self, layout, m):
+        rng = np.random.default_rng(m)
+        order = 3
+        outcome = rng.permutation(np.arange(m) % 3)
+        shape, selector = {
+            # (3, nodes, terms); (3, order, order, games); (3, games, order, order);
+            # the score coefficients (3,) of one colour
+            "filter": ((3, 2, m), outcome),
+            "scoring": ((3, order, order, m), outcome),
+            "oracle": ((3, m, order, order), outcome[:, None, None]),
+            "table": ((3,), outcome),
+        }[layout]
+        for _ in range(4):
+            block = self._block(shape, rng)
+            got = model.observed_column(selector, block)
+            want = where_column(selector == 0, selector == 1, block)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            outcome[:] = rng.permutation(outcome)
+        assert outcome.dtype == np.intp
+        if block.size >= 5:
+            assert np.isnan(block).any() and np.isposinf(block).any()
+            assert np.isneginf(block).any() and np.signbit(block[block == 0]).any()
+
+
 class TestObservedScoring:
     @pytest.mark.parametrize("h", HYPERS)
     @pytest.mark.parametrize("order", ORDERS)
@@ -350,7 +394,7 @@ class TestObservedScoring:
         wmu, wsd, bmu, bsd, observed = _games(n, order)
         wmu[:len(EXTREMES)], bmu[:len(EXTREMES)] = EXTREMES, EXTREMES[::-1]
         got = hyperopt._observed_probability(
-            wmu, wsd, bmu, bsd, *index_masks(observed), h, order
+            wmu, wsd, bmu, bsd, observed, h, order
         )
         want = ref_observed_probability(wmu, wsd, bmu, bsd, observed, h, order)
         assert got.shape == want.shape == (n,)
@@ -366,7 +410,7 @@ class TestObservedScoring:
         for seed in range(40):
             *beliefs, observed = _games(n, 100 * order + seed)
             got = hyperopt._observed_probability(
-                *beliefs, *index_masks(observed), HYPERS[1], order
+                *beliefs, observed, HYPERS[1], order
             )
             want = ref_observed_probability(*beliefs, observed, HYPERS[1], order)
             assert got.shape == want.shape == (n,)
@@ -419,15 +463,15 @@ def assert_same_filter(got, want):
 
 
 class TestCompiledPeriods:
-    def test_masks_match_the_outcome_index(self):
-        """Every game's and every directed term's masks, all three outcomes
-        from both colours."""
+    def test_indices_match_the_outcome_index(self):
+        """Every game's and every directed term's outcome index, all three
+        outcomes from both colours."""
         games = _all_outcomes_period()
         ids = sorted({g.white_id for g in games})
         period = engine._compile_period(games, {pid: k for k, pid in enumerate(ids)})
         observed = np.array([model.outcome_index(g.outcome) for g in games])
-        assert np.array_equal(period.white_won, observed == 0)
-        assert np.array_equal(period.drawn, observed == 1)
+        assert np.array_equal(period.observed, observed)
+        assert period.observed.dtype == period.outcome.dtype == np.intp
         by_pair = {(g.white_id, g.black_id): g.outcome for g in games}
         expected = [
             model.outcome_index(
@@ -441,8 +485,7 @@ class TestCompiledPeriods:
         assert set(zip(period.color.tolist(), expected)) == {
             (c, k) for c in (1.0, -1.0) for k in (0, 1, 2)
         }
-        assert np.array_equal(period.win, np.array(expected) == 0)
-        assert np.array_equal(period.draw, np.array(expected) == 1)
+        assert np.array_equal(period.outcome, expected)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_players_and_games_count_the_directed_terms(self, seed):
@@ -470,8 +513,7 @@ class TestCompiledPeriods:
             assert np.array_equal(period.focal, focal)
             assert np.array_equal(period.opp, opp)
             assert np.array_equal(period.color, color)
-            assert np.array_equal(period.win, outcome == 1.0)
-            assert np.array_equal(period.draw, outcome == 0.5)
+            assert np.array_equal(period.outcome, indices(outcome))
 
     @pytest.mark.parametrize("h", HYPERS)
     @pytest.mark.parametrize("override", [True, False])

@@ -206,8 +206,7 @@ def reference_compare_updates(games, h, cfg, order=9, stratify=False, reasons=No
     index = [oracle._outcome_index_or_none(y) for y in outcome]
     valid = [k is not None and f.sigma > 0 and o.sigma > 0
              for k, f, o in zip(index, focal, opponent)]
-    observed = np.array([k or 0 for k in index])
-    win, draw = observed == 0, observed == 1
+    observed = np.array([k or 0 for k in index], dtype=np.intp)
     focal_mu, focal_sigma, opp_mu, opp_sigma = (
         np.array([getattr(b, field) for b in beliefs])
         for beliefs, field in ((focal, "mu"), (focal, "sigma"),
@@ -215,10 +214,10 @@ def reference_compare_updates(games, h, cfg, order=9, stratify=False, reasons=No
     )
     color = np.array(color, dtype=float)
     d1, d2, p_obs = engine._delta_arrays(
-        focal_mu, opp_mu, opp_sigma, win, draw, color, h, cfg.draw_score_override,
+        focal_mu, opp_mu, opp_sigma, observed, color, h, cfg.draw_score_override,
     )
     mean, second = oracle.posterior_moments(
-        focal_mu, focal_sigma, opp_mu, opp_sigma, win, draw, color, h, order
+        focal_mu, focal_sigma, opp_mu, opp_sigma, observed, color, h, order
     )
 
     approx_dmu, oracle_dmu = [], []
