@@ -36,6 +36,50 @@ def chunks(n: int, cells: int) -> list:
     return [slice(k, min(k + step, n)) for k in range(0, n, step)]
 
 
+class Workspace:
+    """Work blocks that the array passes write their temporaries in, kept
+    from one call to the next.
+
+    A warm pass then allocates nothing large, so the heap is neither grown
+    nor trimmed under it: freed temporaries of tens of KiB let glibc trim the
+    heap top, and the next pass faults its pages back in.
+    ``block(name, shape)`` is a C-contiguous float64 view of the named
+    buffer, which grows to the largest block asked for.  Blocks of one name
+    share memory: a pass holds one block of each name at a time, and passes
+    that run one after the other (the scoring and the filter of a period)
+    use the same names, so that their blocks share memory too.
+    ``positions(shape)`` is ``np.arange`` in that shape, the positions of a
+    take index (``model.observed_index``), as a view of one kept ramp.
+    A workspace serves one pass at a time, so one thread.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+        self._blocks = {}
+        self._ramp, self._positions = np.arange(0), {}
+
+    def block(self, name: str, shape: tuple) -> np.ndarray:
+        view = self._blocks.get((name, shape))
+        if view is None:
+            size = math.prod(shape)
+            buffer = self._buffers.get(name)
+            if buffer is None or buffer.size < size:
+                buffer = self._buffers[name] = np.empty(size)
+                # the old buffer's views would keep it alive
+                self._blocks = {key: v for key, v in self._blocks.items() if key[0] != name}
+            view = self._blocks[name, shape] = buffer[:size].reshape(shape)
+        return view
+
+    def positions(self, shape: tuple) -> np.ndarray:
+        view = self._positions.get(shape)
+        if view is None:
+            cells = math.prod(shape)
+            if self._ramp.size < cells:
+                self._ramp, self._positions = np.arange(cells), {}
+            view = self._positions[shape] = self._ramp[:cells].reshape(shape)
+        return view
+
+
 class DegenerateUpdateError(ArithmeticError):
     """Raised when the posterior precision is non-positive.
 
@@ -93,8 +137,12 @@ class EngineConfig:
     rated_prior_sd_elo: float = 100.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma_cap) and self.sigma_cap > 0):
-            raise ValueError(f"sigma_cap must be positive, got {self.sigma_cap}")
+        for name in ("sigma_cap", "default_prior_sd_elo", "rated_prior_sd_elo"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive, got {value}")
+        if not math.isfinite(self.default_prior_elo):
+            raise ValueError(f"default_prior_elo must be finite, got {self.default_prior_elo}")
 
     def default_belief(self, player_id: str) -> PlayerBelief:
         return PlayerBelief(
@@ -132,7 +180,11 @@ class PeriodResult:
     rejected: list = field(default_factory=list)
 
 
-def _delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_override):
+_NODE_SIGNS = np.array([[-1.0], [1.0]])
+
+
+def _delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_override,
+                  work=None):
     """Vectorized game-term computation over inputs that broadcast to 1-D.
 
     ``outcome`` is the observed outcome's index from the focal player's side
@@ -141,41 +193,53 @@ def _delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_ove
     with the focal strength fixed at its prior mean.  The equal 1/2 node
     weights cancel between numerator and denominator of the delta terms;
     p_observed keeps the uncancelled two-node sum.
+    Given a ``Workspace``, the inputs are 1-D and every temporary is written
+    in its block ``"grid"``; the results are then views of that block.
     """
-    nodes = opp_mu + np.array([[-1.0], [1.0]]) * opp_sigma
+    if work is None:
+        focal_mu, opp_mu, opp_sigma, outcome, color = np.broadcast_arrays(
+            *map(np.atleast_1d, (focal_mu, opp_mu, opp_sigma, outcome, color)))
+        work = Workspace()
+    n = len(outcome)
+    # (2, n) rows: 0-6 the logit block (logits, scratch, log total) and 7 the
+    # opponent nodes; then 0-2 p, 3 p_y, 4 the take index and then d1, 5 d2,
+    # 6 scratch; once p_y is taken, 7 s1, 2 s2 and the first half of 0 a_y;
+    # last, rows 0-2 the node sums and the deltas
+    block = work.block("grid", (8, 2, n))
     # a huge draw coefficient overflows and p_obs can underflow to exactly 0;
     # the resulting NaNs are caught by the precision check downstream
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        nodes = np.multiply(_NODE_SIGNS, opp_sigma, out=block[7])
+        np.add(opp_mu, nodes, out=nodes)
+        p, log_total = model.shifted_logit_columns(focal_mu, nodes, color, h, block[:7])
+        p -= log_total
+        np.exp(p, out=p)
+        # p_y, d1 and d2 at both nodes, one block for the node sums
+        rows = block[3:6]
+        index = model.observed_index(outcome, work.positions((2, n)), block[4].view(np.intp))
+        # the indices are in range by construction: "wrap" writes straight to out
+        p.take(index, out=rows[0], mode="wrap")
         if h.alpha1:
             a = np.stack(model.score_coefficient_columns(color, h, draw_score_override))
             a_y = model.observed_column(outcome, a)
-            p = np.exp(model.log_probability_columns(focal_mu, nodes, color, h))
-            del nodes
             s1, s2 = model.score_sums(p, a)
         else:
             # the coefficients are the constants (1, a_draw, +/-0): the observed
             # one comes from a table, and the loss probability drops out of
             # s1 = sum(p a) and s2 = sum(p a^2)
             a_draw = model.draw_coefficient(h, draw_score_override)
-            a_y = np.array([1.0, a_draw, 0.0]).take(outcome)
-            # normalised in place, each temporary freed once used: fewer live
-            # temporaries keep the heap from growing and being trimmed at every call
-            p, log_total = model.shifted_logit_columns(focal_mu, nodes, color, h)
-            del nodes
-            p -= log_total
-            del log_total
-            np.exp(p, out=p)
-            s1, s2 = p[0] + p[1] * a_draw, p[0] + p[1] * (a_draw * a_draw)
-        # p_y, d1 and d2 at both nodes, one block for the node sums, written
-        # over p: its rows are not read once p_y is taken from it
-        rows = p
-        rows[0] = model.observed_column(outcome, p)
-        model.selected_derivatives(rows[0], a_y, s1, s2, out=rows[1:])
-        del s1, s2
+            s1 = np.multiply(p[1], a_draw, out=block[7])
+            np.add(p[0], s1, out=s1)
+            s2 = np.multiply(p[1], a_draw * a_draw, out=p[2])
+            np.add(p[0], s2, out=s2)
+            a_y = np.array([1.0, a_draw, 0.0]).take(outcome, out=p[0, 0], mode="wrap")
+        model.selected_derivatives(rows[0], a_y, s1, s2, out=block[4:7])
         # each node row is added to 0.0 in turn, so a zero term sums as +0.0
-        p_obs, num1, num2 = (0.0 + rows[:, 0]) + rows[:, 1]
-        delta1 = num1 / p_obs
-        delta2 = num2 / p_obs - delta1**2
+        sums = np.add(0.0, rows[:, 0], out=block[:3, 0])
+        p_obs, num1, num2 = np.add(sums, rows[:, 1], out=sums)
+        delta1 = np.divide(num1, p_obs, out=block[0, 1])
+        delta2 = np.divide(num2, p_obs, out=block[1, 1])
+        np.subtract(delta2, np.square(delta1, out=block[2, 1]), out=delta2)
     return delta1, delta2, p_obs
 
 
@@ -292,7 +356,9 @@ class CompiledHistory:
     ``mu``, ``sigma`` and ``tracked`` are the starting beliefs: players of
     the initial state are tracked; every other player starts at the default
     prior of ``cfg`` and is tracked from the period of their first valid
-    game.  Callers copy the starting arrays before filtering.
+    game.  Callers copy the starting arrays before filtering.  ``work`` is
+    the workspace of the passes over this history, so the history serves
+    one thread at a time.
     """
 
     ids: np.ndarray  # object array
@@ -301,6 +367,7 @@ class CompiledHistory:
     tracked: np.ndarray
     periods: tuple
     cfg: EngineConfig
+    work: Workspace = field(default_factory=Workspace, compare=False, repr=False)
 
 
 def _compile_period(games: list, index: dict) -> CompiledPeriod:
@@ -371,27 +438,36 @@ def compile_history(games: list, initial_state: dict | None, cfg: EngineConfig) 
 
 
 def filter_period(period: CompiledPeriod, ids, mu, sigma, tracked, h: Hyperparameters,
-                  cfg: EngineConfig):
+                  cfg: EngineConfig, work: Workspace | None = None):
     """Fold one compiled period into the belief arrays, in place.
 
     Every directed term is computed against the prior arrays, in ``chunks``
-    of two opponent nodes per term; each player with a game takes one
-    Newton step; then every tracked player below the cap is advanced in
-    time (``advance_time``, vectorized bit for bit).
+    of two opponent nodes per term, with its temporaries in ``work`` (a new
+    workspace if not given); each player with a game takes one Newton step;
+    then every tracked player below the cap is advanced in time
+    (``advance_time``, vectorized bit for bit).
     Returns the games per player and the posterior sd before the advance.
     """
+    if work is None:
+        work = Workspace()
     players = period.players
     counts = np.zeros(len(mu), dtype=np.intp)
     counts[players] = period.games
     if players.size:
         tracked[players] = True
-        d1, d2 = np.empty((2, period.focal.size))
+        d1, d2 = work.block("terms", (2, period.focal.size))
         # each term is computed alone, so the chunking leaves every bit as it is
         for part in chunks(period.focal.size, 2):
+            n = part.stop - part.start
+            beliefs = work.block("beliefs", (3, n))
             focal, opp = period.focal[part], period.opp[part]
+            # player indices are in range by construction: "wrap" writes straight to out
+            mu.take(focal, out=beliefs[0], mode="wrap")
+            mu.take(opp, out=beliefs[1], mode="wrap")
+            sigma.take(opp, out=beliefs[2], mode="wrap")
             d1[part], d2[part], _ = _delta_arrays(
-                mu[focal], mu[opp], sigma[opp], period.outcome[part], period.color[part], h,
-                cfg.draw_score_override,
+                *beliefs, period.outcome[part], period.color[part], h, cfg.draw_score_override,
+                work=work,
             )
         mu[players], sigma[players] = _newton_step(
             map(ids.__getitem__, players), mu[players], sigma[players],

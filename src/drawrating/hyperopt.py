@@ -68,8 +68,19 @@ class TraceRecorder:
         return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _node_columns(order: int):
+    """White's and Black's node columns, (order, 1, 1) and (1, order, 1), and
+    the node-pair weights of the normalised rule, (order, order, 1)."""
+    rule = oracle.gh_rule(order)
+    nodes, weights = rule.nodes, rule.weights / math.sqrt(math.pi)
+    w2 = weights[:, None, None] * weights[None, :, None]
+    w2.flags.writeable = False
+    return nodes[:, None, None], nodes[None, :, None], w2
+
+
 def _node_grid(white_mu, white_sigma, black_mu, black_sigma, h: Hyperparameters, order: int,
-               kernel=model.log_probability_columns):
+               kernel=model.log_probability_columns, out=None):
     """Log outcome columns (win, draw, loss) of n games on the quadrature grid,
     stacked on a leading axis.
 
@@ -77,17 +88,25 @@ def _node_grid(white_mu, white_sigma, black_mu, black_sigma, h: Hyperparameters,
     and times the returned node-pair weights, over both players' nodes.  The
     nodes lead the layout, (order, order, n), so the node pairs are its rows.
     ``kernel`` forms the columns, as ``model.log_probability_columns`` does.
+    ``out``, if given, is a pair of work blocks: (2, order, n) for the nodes
+    and the kernel's own block.
     """
-    rule = oracle.gh_rule(order)
-    nodes, weights = rule.nodes, rule.weights / math.sqrt(math.pi)
-    theta_w = white_mu + math.sqrt(2.0) * white_sigma * nodes[:, None, None]
-    theta_b = black_mu + math.sqrt(2.0) * black_sigma * nodes[None, :, None]
-    w2 = weights[:, None, None] * weights[None, :, None]
-    return kernel(theta_w, theta_b, 1.0, h), w2
+    white_nodes, black_nodes, w2 = _node_columns(order)
+    thetas, block = (np.empty((2, order, len(white_mu))), None) if out is None else out
+    # mu + (sqrt(2) sigma) node, for White's nodes on the first axis and
+    # Black's on the second
+    theta_w, theta_b = thetas[0][:, None, :], thetas[1][None, :, :]
+    for theta, mu, sigma, node in ((theta_w, white_mu, white_sigma, white_nodes),
+                                   (theta_b, black_mu, black_sigma, black_nodes)):
+        np.multiply(math.sqrt(2.0), sigma, out=theta)
+        np.multiply(theta, node, out=theta)
+        np.add(mu, theta, out=theta)
+    return kernel(theta_w, theta_b, 1.0, h, block), w2
 
 
-def _pair_sum(terms: np.ndarray, order: int, width: int) -> np.ndarray:
-    """Sum of weighted (order, order, width) terms over the node pairs: (width,).
+def _pair_sum(terms: np.ndarray, order: int, width: int, out=None) -> np.ndarray:
+    """Sum of weighted (order, order, width) terms over the node pairs: (width,),
+    written in ``out`` if given.
 
     The pairs are added one at a time in C order, as numpy sums the node
     axes of a stacked (..., order, order, 3) grid, so every form agrees to
@@ -95,7 +114,13 @@ def _pair_sum(terms: np.ndarray, order: int, width: int) -> np.ndarray:
     game pairwise.  ``width`` is passed in rather than inferred, so an
     input of no games still reshapes.
     """
-    return functools.reduce(np.add, terms.reshape(order * order, width))
+    first, *rest = terms.reshape(order * order, width)
+    if out is None:
+        out = np.empty(width)
+    np.copyto(out, first)
+    for row in rest:
+        np.add(out, row, out=out)
+    return out
 
 
 def predictive_probability_array(
@@ -117,34 +142,46 @@ def predictive_probability_array(
     for part in engine.chunks(n, order * order):
         width = part.stop - part.start
         columns, w2 = _node_grid(*(b[part] for b in beliefs), h, order)
-        terms = np.exp(np.concatenate(columns, axis=-1)) * w2
-        out[part] = _pair_sum(terms, order, 3 * width).reshape(3, width).T
+        np.exp(columns, out=columns)
+        columns *= w2
+        for k, column in enumerate(columns):
+            _pair_sum(column, order, width, out=out[part, k])
     return out.reshape(*shape, 3)
 
 
 def _observed_probability(
     white_mu, white_sigma, black_mu, black_sigma, observed, h: Hyperparameters, order: int,
+    work: engine.Workspace | None = None,
 ) -> np.ndarray:
     """Belief-integrated probability of each game's observed outcome.
 
     The scoring form of ``predictive_probability_array``: only the observed
     outcome's shifted logit, picked by the outcome index ``observed`` (0 win,
     1 draw, 2 loss, from White's side), is normalised and exponentiated, in
-    ``engine.chunks`` of ``order**2`` node pairs per game.
+    ``engine.chunks`` of ``order**2`` node pairs per game.  The temporaries
+    are written in ``work`` (a new workspace if not given), and so is the
+    result.
     """
-    p = np.empty(len(observed))
+    if work is None:
+        work = engine.Workspace()
+    p = work.block("terms", (len(observed),))
     for part in engine.chunks(len(observed), order * order):
+        width = part.stop - part.start
         beliefs = (x[part] for x in (white_mu, white_sigma, black_mu, black_sigma))
-        (logits, log_total), w2 = _node_grid(*beliefs, h, order, model.shifted_logit_columns)
-        # in place, the logits freed: no temporary outlives its chunk, and the
-        # heap is not grown and trimmed at every call
-        terms = model.observed_column(observed[part], logits)
-        del logits
+        # (order, order, width) rows: 0-6 the logit block, and 7-8 the nodes
+        # (2 order width cells); then 3 the observed terms and 4 the take index
+        shape = (order, order, width)
+        grid = work.block("grid", (9, *shape))
+        thetas = grid[7:].reshape(-1)[:2 * order * width].reshape(2, order, width)
+        (logits, log_total), w2 = _node_grid(*beliefs, h, order, model.shifted_logit_columns,
+                                             (thetas, grid[:7]))
+        index = model.observed_index(observed[part], work.positions(shape), grid[4].view(np.intp))
+        # the indices are in range by construction: "wrap" writes straight to out
+        terms = logits.take(index, out=grid[3], mode="wrap")
         terms -= log_total
-        del log_total
         np.exp(terms, out=terms)
         terms *= w2
-        p[part] = _pair_sum(terms, order, part.stop - part.start)
+        _pair_sum(terms, order, width, out=p[part])
     return p
 
 
@@ -182,6 +219,7 @@ def evaluate_hyperparameters(
             f"train_until ({train_until}) must precede the last period ({last})"
         )
     mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
+    work = history.work
     per_period = []
     evaluated = 0
     settled = False  # an empty period's time advance changed no sigma
@@ -190,18 +228,23 @@ def evaluate_hyperparameters(
         if number > train_until:
             loglik = 0.0
             if n:
-                white, black = period.white, period.black
-                p = _observed_probability(
-                    mu[white], sigma[white], mu[black], sigma[black], period.observed, h, order,
-                )
+                beliefs = work.block("beliefs", (4, n))
+                # player indices are in range by construction: "wrap" writes straight to out
+                for row, (column, players) in zip(beliefs, ((mu, period.white),
+                                                            (sigma, period.white),
+                                                            (mu, period.black),
+                                                            (sigma, period.black))):
+                    column.take(players, out=row, mode="wrap")
+                p = _observed_probability(*beliefs, period.observed, h, order, work)
                 with np.errstate(divide="ignore"):  # an underflown outcome scores -inf
-                    loglik = float(np.log(p).sum())
+                    loglik = float(np.log(p, out=p).sum())
             per_period.append(loglik)
             evaluated += n
         # an empty period only advances sigma, so once an advance leaves every
         # bit as it was, each empty period up to the next games is a no-op
         if number < last and not (settled and not n):
-            _, sigma_post = engine.filter_period(period, history.ids, mu, sigma, tracked, h, cfg)
+            _, sigma_post = engine.filter_period(period, history.ids, mu, sigma, tracked, h, cfg,
+                                                 work)
             settled = not n and np.array_equal(sigma_post, sigma)
     return PredictiveEvaluation(tuple(per_period), math.fsum(per_period), evaluated)
 
@@ -236,6 +279,116 @@ class _DegenerateSimplex(Exception):
     """Every vertex of a start's initial simplex scored -inf."""
 
 
+class _BudgetSpent(Exception):
+    """The search asked for an evaluation past its budget."""
+
+
+def _nelder_mead(func, x0, xatol: float, fatol: float, maxfev: int):
+    """Minimize ``func`` from ``x0`` by Nelder-Mead (Nelder and Mead 1965):
+    the best vertex and its value.
+
+    A line-for-line port of the path that ``scipy.optimize.minimize(...,
+    method="Nelder-Mead")`` takes in scipy 1.17.1 (``_minimize_neldermead``)
+    with the standard coefficients, no bounds and only ``maxfev`` set, so it
+    evaluates the same vectors in the same order and returns the same
+    result.  The search stops once the simplex is within ``xatol`` of its
+    best vertex in every coordinate and ``fatol`` of its best value, or
+    after ``maxfev`` evaluations.
+    Ported from SciPy (Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy
+    Developers; BSD 3-Clause License).
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    x0 = np.asarray(x0, dtype=float)
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+    one2np1 = list(range(1, N + 1))
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    calls = 0
+
+    def evaluate(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        # func gets a copy, which it may keep
+        return func(np.copy(x))
+
+    try:
+        for k in range(N + 1):
+            fsim[k] = evaluate(sim[k])
+    except _BudgetSpent:
+        pass
+    finally:
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    # sort so sim[0,:] has the lowest function value
+    sim = np.take(sim, ind, 0)
+
+    while calls < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = evaluate(xr)
+            doshrink = 0
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = evaluate(xe)
+                if fxe < fxr:
+                    sim[-1] = xe
+                    fsim[-1] = fxe
+                else:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+            else:  # fsim[0] <= fxr
+                if fxr < fsim[-2]:
+                    sim[-1] = xr
+                    fsim[-1] = fxr
+                else:  # fxr >= fsim[-2]
+                    # Perform contraction
+                    if fxr < fsim[-1]:
+                        xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                        fxc = evaluate(xc)
+                        if fxc <= fxr:
+                            sim[-1] = xc
+                            fsim[-1] = fxc
+                        else:
+                            doshrink = 1
+                    else:
+                        # Perform an inside contraction
+                        xcc = (1 - psi) * xbar + psi * sim[-1]
+                        fxcc = evaluate(xcc)
+                        if fxcc < fsim[-1]:
+                            sim[-1] = xcc
+                            fsim[-1] = fxcc
+                        else:
+                            doshrink = 1
+                    if doshrink:
+                        for j in one2np1:
+                            sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                            fsim[j] = evaluate(sim[j])
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
+
+
 def optimize(
     games: list,
     cfg: EngineConfig,
@@ -256,10 +409,6 @@ def optimize(
     as evaluations, and only the first two kinds are traced.  A start whose whole initial simplex
     scores -inf is stopped there and keeps its start point at -inf.
     """
-    # scipy is imported here, not at the top: it is most of the start-up
-    # time and memory of every other command, none of which needs it
-    from scipy.optimize import minimize
-
     starts = default_starts() if starts is None else list(starts)
     if not starts:
         raise ValueError("at least one start is required")
@@ -301,24 +450,14 @@ def optimize(
             return values[-1]
 
         try:
-            # scipy's stopping test subtracts vertex values: inf - inf when
-            # every vertex scores -inf
+            # the stopping test subtracts vertex values: inf - inf when every
+            # vertex scores -inf
             with np.errstate(invalid="ignore"):
-                res = minimize(
-                    recorded,
-                    x0,
-                    method="Nelder-Mead",
-                    options={
-                        "fatol": SPREAD_TOL,
-                        "xatol": 1e-6,
-                        "maxfev": MAX_EVALUATIONS,
-                    },
-                )
+                x, fun = _nelder_mead(recorded, x0, xatol=1e-6, fatol=SPREAD_TOL,
+                                      maxfev=MAX_EVALUATIONS)
         except _DegenerateSimplex:
             return values, OptimizationStart(start, start, -math.inf)
-        return values, OptimizationStart(
-            start, _from_vector(res.x, fix_alpha), float(-res.fun)
-        )
+        return values, OptimizationStart(start, _from_vector(x, fix_alpha), float(-fun))
 
     searched, results = zip(*(search(start) for start in starts))
     start_values = [-values[0] for values in searched]

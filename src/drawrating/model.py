@@ -68,7 +68,7 @@ def _check_color(color) -> None:
         raise ValueError(f"color must be +1 (white) or -1 (black), got {color!r}")
 
 
-def shifted_logit_columns(theta_i, theta_j, color, h: Hyperparameters):
+def shifted_logit_columns(theta_i, theta_j, color, h: Hyperparameters, out=None):
     """Outcome logits (win, draw, loss) less the largest, stacked on a leading
     axis of length 3, and the log of their exponentials' sum, which each log
     probability subtracts.
@@ -80,32 +80,48 @@ def shifted_logit_columns(theta_i, theta_j, color, h: Hyperparameters):
     Without a white advantage (``alpha0 == alpha1 == 0``) ``color`` is not
     read; skipping its zero terms changes no value at a finite average strength.
     Overflowing inputs give NaN or infinite columns, without a warning.
+    Every temporary is written in ``out``, a (7, *shape) float64 block over
+    the broadcast shape of the result, allocated if not given: rows 0-2
+    receive the logits, row 6 the log total, and rows 3-5 are scratch.
     """
+    advantage = h.alpha0 or h.alpha1
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(theta_i), np.shape(theta_j),
+                                    np.shape(color) if advantage else ())
+        out = np.empty((7, *shape))
+    # rows are indexed with ..., so that 0-d rows stay arrays
+    logits, scratch, log_total = out[:3], out[3:6], out[6, ...]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        avg = 0.5 * (theta_i + theta_j)
+        avg = np.add(theta_i, theta_j, out=scratch[0, ...])
+        np.multiply(0.5, avg, out=avg)
         win, loss = theta_i, theta_j
-        if h.alpha0 or h.alpha1:
-            advantage = color * (h.alpha0 + h.alpha1 * avg) / 4.0
-            win, loss = win + advantage, loss - advantage
-        draw = h.beta0 + (1.0 + h.beta1) * avg
-        del avg
-        top = np.maximum(np.maximum(win, draw), loss)
-        logits = np.empty((3, *np.shape(top)))
+        if advantage:
+            # color * (alpha0 + alpha1 * avg) / 4
+            shift = np.multiply(h.alpha1, avg, out=scratch[1, ...])
+            np.add(h.alpha0, shift, out=shift)
+            np.multiply(color, shift, out=shift)
+            np.divide(shift, 4.0, out=shift)
+            win = np.add(win, shift, out=logits[0, ...])
+            loss = np.subtract(loss, shift, out=logits[2, ...])
+        draw = np.multiply(1.0 + h.beta1, avg, out=logits[1, ...])
+        np.add(h.beta0, draw, out=draw)
+        top = np.maximum(win, draw, out=scratch[2, ...])
+        np.maximum(top, loss, out=top)
         np.subtract(win, top, out=logits[0, ...])
         np.subtract(draw, top, out=logits[1, ...])
         np.subtract(loss, top, out=logits[2, ...])
-        # freed before the exponentials' block is allocated: with them alive,
-        # the heap grows and is trimmed at every call
-        del win, draw, loss, top
-        exp = np.exp(logits)
+        exp = np.exp(logits, out=scratch)
         # exact zeros are legal probabilities: log(0) is -inf
-        log_total = np.log((exp[0] + exp[1]) + exp[2])
+        np.add(exp[0], exp[1], out=log_total)
+        np.add(log_total, exp[2], out=log_total)
+        np.log(log_total, out=log_total)
     return logits, log_total
 
 
-def log_probability_columns(theta_i, theta_j, color, h: Hyperparameters):
-    """Log outcome probabilities (win, draw, loss), stacked on a leading axis."""
-    logits, log_total = shifted_logit_columns(theta_i, theta_j, color, h)
+def log_probability_columns(theta_i, theta_j, color, h: Hyperparameters, out=None):
+    """Log outcome probabilities (win, draw, loss), stacked on a leading axis;
+    ``out`` is the work block of ``shifted_logit_columns``."""
+    logits, log_total = shifted_logit_columns(theta_i, theta_j, color, h, out)
     logits -= log_total
     return logits
 
@@ -150,13 +166,20 @@ def score_coefficient_columns(color, h: Hyperparameters, draw_score_override: bo
     return a_win, np.full_like(a_win, draw_coefficient(h, draw_score_override)), a_loss
 
 
+def observed_index(outcome, positions, out=None):
+    """Flat index of the outcome index ``outcome`` (0 win, 1 draw, 2 loss,
+    ``intp``) into a C-contiguous stacked (win, draw, loss) block of shape
+    (3, *positions.shape); ``positions`` is ``np.arange(cells)`` in that
+    shape, against which ``outcome`` broadcasts.  Written in ``out`` if given."""
+    return np.add(outcome * positions.size, positions, out=out)
+
+
 def observed_column(outcome, block):
     """The entry of the stacked (win, draw, loss) ``block`` at the outcome
-    index ``outcome`` (0 win, 1 draw, 2 loss, ``intp``), which broadcasts
-    against ``block[0]``: one flat ``take`` from a C-contiguous block."""
+    index ``outcome``, which broadcasts against ``block[0]``: one flat
+    ``take`` from a C-contiguous block."""
     shape = block.shape[1:]
-    cells = block.size // 3
-    return block.take(outcome * cells + np.arange(cells).reshape(shape))
+    return block.take(observed_index(outcome, np.arange(math.prod(shape)).reshape(shape)))
 
 
 def score_coefficients(
@@ -198,12 +221,27 @@ def derivative_arrays(p, a, p_c, a_c):
     return selected_derivatives(p_c, a_c, *score_sums(p, a))
 
 
-def selected_derivatives(p_c, a_c, s1, s2, out=(None, None)):
-    """``derivative_arrays`` from the sums s1 = sum(p a) and s2 = sum(p a^2),
-    written to the two arrays of ``out`` if given."""
-    residual = a_c - s1
-    return (np.multiply(p_c, residual, out=out[0]),
-            np.multiply(p_c, a_c * a_c - s2 - 2.0 * s1 * residual, out=out[1]))
+def selected_derivatives(p_c, a_c, s1, s2, out=None):
+    """``derivative_arrays`` from the sums s1 = sum(p a) and s2 = sum(p a^2).
+
+    Written in ``out``, a (3, *shape) float64 block over the broadcast shape
+    of the inputs, allocated if not given: rows 0 and 1 receive the two
+    derivatives, which are returned, and row 2 is scratch.
+    """
+    if out is None:
+        out = np.empty((3, *np.broadcast_shapes(*map(np.shape, (p_c, a_c, s1, s2)))))
+    first, second, scratch = out[0, ...], out[1, ...], out[2, ...]
+    # p_c * (a_c - s1) and p_c * (a_c * a_c - s2 - 2.0 * s1 * residual), one
+    # operation at a time in the order Python evaluates them
+    residual = np.subtract(a_c, s1, out=first)
+    np.multiply(a_c, a_c, out=second)
+    np.subtract(second, s2, out=second)
+    np.multiply(2.0, s1, out=scratch)
+    np.multiply(scratch, residual, out=scratch)
+    np.subtract(second, scratch, out=second)
+    np.multiply(p_c, second, out=second)
+    np.multiply(p_c, residual, out=first)
+    return first, second
 
 
 def probability_derivatives(

@@ -69,27 +69,47 @@ def posterior_moments(focal_mu, focal_sigma, opp_mu, opp_sigma, outcome, color,
     Each game's (order, order) tensor grid, focal player on the first axis,
     is kept in log space so extreme nodes cannot overflow.  A game whose
     realized outcome has zero probability at every node pair gets a NaN
-    mean.  Games run in ``engine.chunks`` of ``order**2`` node pairs each.
+    mean.  Games run in ``engine.chunks`` of ``order**2`` node pairs each,
+    with their temporaries in the blocks of one workspace.
     """
     rule = gh_rule(order)
     logw = np.log(rule.weights)
     log_w2 = logw[:, None] + logw[None, :]
     mean, second = np.empty(len(focal_mu)), np.empty(len(focal_mu))
+    work = engine.Workspace()
     for part in engine.chunks(len(focal_mu), order * order):
-        theta_i = focal_mu[part, None] + (math.sqrt(2.0) * focal_sigma[part, None]) * rule.nodes
-        theta_j = opp_mu[part, None] + (math.sqrt(2.0) * opp_sigma[part, None]) * rule.nodes
+        width = part.stop - part.start
+        shape = (width, order, order)
+        # rows of the grid: 0-6 the log-probability block; then 3 the take
+        # index, 4 the observed log terms and 5 their exponentials
+        grid = work.block("grid", (7, *shape))
+        theta_i, theta_j, weights, product = work.block("nodes", (4, width, order))
+        shift, total = work.block("games", (2, width))
+        # mu + (sqrt(2) sigma) node, for the focal player and the opponent
+        for theta, mu, sigma in ((theta_i, focal_mu, focal_sigma), (theta_j, opp_mu, opp_sigma)):
+            np.multiply(math.sqrt(2.0), sigma[part, None], out=theta)
+            np.multiply(theta, rule.nodes, out=theta)
+            np.add(mu[part, None], theta, out=theta)
         columns = model.log_probability_columns(
-            theta_i[:, :, None], theta_j[:, None, :], color[part, None, None], h
+            theta_i[:, :, None], theta_j[:, None, :], color[part, None, None], h, grid
         )
-        logp = model.observed_column(outcome[part, None, None], columns)
-        del columns
-        log_terms = log_w2 + logp
-        shift = log_terms.max(axis=(1, 2))
+        index = model.observed_index(outcome[part, None, None], work.positions(shape),
+                                     grid[3].view(np.intp))
+        # the indices are in range by construction: "wrap" writes straight to out
+        log_terms = columns.take(index, out=grid[4], mode="wrap")
+        np.add(log_w2, log_terms, out=log_terms)
+        log_terms.max(axis=(1, 2), out=shift)
         with np.errstate(invalid="ignore"):  # a non-finite shift gives NaN moments
-            weights = np.exp(log_terms - shift[:, None, None]).sum(axis=2)
-            total = weights.sum(axis=1)
-            mean[part] = (weights * theta_i).sum(axis=1) / total
-            second[part] = (weights * theta_i**2).sum(axis=1) / total
+            terms = np.subtract(log_terms, shift[:, None, None], out=grid[5])
+            np.exp(terms, out=terms)
+            terms.sum(axis=2, out=weights)
+            weights.sum(axis=1, out=total)
+            np.multiply(weights, theta_i, out=product)
+            product.sum(axis=1, out=mean[part])
+            np.divide(mean[part], total, out=mean[part])
+            np.multiply(weights, np.square(theta_i, out=product), out=product)
+            product.sum(axis=1, out=second[part])
+            np.divide(second[part], total, out=second[part])
         mean[part][~np.isfinite(shift)] = np.nan
     return mean, second
 

@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import drawrating
 from drawrating import engine
 
 
@@ -20,3 +27,17 @@ def chunk_bound(monkeypatch):
         monkeypatch.setattr(engine, "chunks", counted)
         return counts
     return bound
+
+
+@pytest.fixture
+def fresh_python():
+    """``fresh_python(script)`` runs ``script`` in a new interpreter that
+    imports this checkout's drawrating, and returns the JSON it prints."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(drawrating.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(script):
+        done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        return json.loads(done.stdout)
+    return run

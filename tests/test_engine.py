@@ -62,6 +62,15 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(sigma_cap=-1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("default_prior_elo", math.nan), ("default_prior_elo", math.inf),
+        ("default_prior_sd_elo", 0.0), ("default_prior_sd_elo", math.nan),
+        ("rated_prior_sd_elo", -100.0), ("rated_prior_sd_elo", math.nan),
+    ])
+    def test_every_prior_setting_is_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EngineConfig(**{field: value})
+
 
 class TestGameTerm:
     # Frozen from the independent implementation:

@@ -5,19 +5,14 @@ integration over both players' beliefs (4001-point grids, +/- 8 sd).
 """
 
 import dataclasses
-import json
 import math
-import os
-import subprocess
 import sys
-import textwrap
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-import drawrating
 from drawrating import engine, hyperopt, model, simulate, store
 from drawrating.engine import EngineConfig, PlayerBelief
 from drawrating.model import Hyperparameters
@@ -728,13 +723,41 @@ class TestChunkedPasses:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < 50
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="minor page faults as Linux counts them")
+    def test_a_warm_fit_evaluation_in_a_fresh_interpreter_takes_no_page_faults(
+            self, fresh_python):
+        """The same in a process that never loads scipy, so that nothing grew
+        its heap beforehand: the passes keep their work blocks."""
+        got = fresh_python("""
+            import json, resource, sys
+            from drawrating import engine, hyperopt, simulate, store
+            from drawrating.model import Hyperparameters
 
-class TestScipyIsLoadedOnlyBySearch:
-    """Only ``hyperopt.optimize`` needs scipy, so importing the package or
-    its command line loads none of it; the search imports it when run."""
+            h, cfg = Hyperparameters(), engine.EngineConfig()
+            league = simulate.simulate_league(
+                simulate.LeagueConfig(150, 8, 1500, "uniform-random", 2.0, 1.5, seed=1), h)
+            state = store.initialize_priors(simulate.initial_ratings(league), cfg)
+            history = engine.compile_history(league.games, state, cfg)
+            for _ in range(5):
+                hyperopt.evaluate_hyperparameters(history, h, cfg, 4)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(50):
+                hyperopt.evaluate_hyperparameters(history, h, cfg, 4)
+            print(json.dumps({
+                "faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,
+                "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+            }))
+        """)
+        assert got["scipy"] == []
+        assert got["faults"] < 50
 
-    def test_in_a_fresh_interpreter(self):
-        script = textwrap.dedent("""
+
+class TestNoScipyIsLoaded:
+    """The search runs its own Nelder-Mead, so importing the package or its
+    command line, or running a search, loads no scipy module."""
+
+    def test_in_a_fresh_interpreter(self, fresh_python):
+        got = fresh_python("""
             import json, sys
 
             def scipy_modules():
@@ -759,14 +782,99 @@ class TestScipyIsLoadedOnlyBySearch:
                 "package": after_package, "cli": after_cli,
                 "converged": result.converged,
                 "best": [result.best.beta0, result.best.beta1, result.best.tau],
-                "optimize_loaded": "scipy.optimize" in sys.modules,
+                "after_search": scipy_modules(),
             }))
         """)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(drawrating.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
-        got = json.loads(done.stdout)
         assert got["package"] == [] and got["cli"] == []
-        assert got["converged"] and got["optimize_loaded"]
+        assert got["converged"] and got["after_search"] == []
         np.testing.assert_allclose(got["best"], [0.8, 0.25, 0.3], atol=1e-3)
+
+
+def _bench_fit_history(seed=1):
+    """The benchmark's fit league (150 players, 8 periods of 1 500 games)."""
+    league = simulate.simulate_league(
+        simulate.LeagueConfig(150, 8, 1500, "uniform-random", 2.0, 1.5, seed=seed), H2,
+    )
+    state = store.initialize_priors(simulate.initial_ratings(league), CFG)
+    return engine.compile_history(league.games, state, CFG)
+
+
+class TestNelderMeadPort:
+    """``hyperopt._nelder_mead`` against ``scipy.optimize.minimize`` with the
+    options the search used with scipy: the same vectors, byte for byte and
+    in the same order, the same best vertex and value, the same count."""
+
+    @staticmethod
+    def assert_same_search(func, x0):
+        minimize = pytest.importorskip("scipy.optimize").minimize
+        maxfev = hyperopt.MAX_EVALUATIONS
+
+        def run(search):
+            calls = []
+
+            def recorded(v):
+                calls.append(v.tobytes())
+                return func(v)
+
+            with np.errstate(invalid="ignore"):  # inf - inf in the stopping test
+                x, fun, count = search(recorded, calls)
+            return calls, x.tobytes(), repr(float(fun)), count
+
+        def with_scipy(f, calls):
+            res = minimize(f, x0, method="Nelder-Mead", options={
+                "fatol": hyperopt.SPREAD_TOL, "xatol": 1e-6, "maxfev": maxfev})
+            return res.x, res.fun, res.nfev
+
+        ported = run(lambda f, calls: (*hyperopt._nelder_mead(
+            f, x0, xatol=1e-6, fatol=hyperopt.SPREAD_TOL, maxfev=maxfev), len(calls)))
+        assert ported == run(with_scipy)
+        return ported[3]
+
+    @staticmethod
+    def negative_objective(history, fix_alpha, train_until):
+        def negative(v):
+            try:
+                h = hyperopt._from_vector(v, fix_alpha)
+                return -hyperopt.evaluate_hyperparameters(history, h, CFG, train_until).total
+            except (OverflowError, ValueError, engine.DegenerateUpdateError):
+                return math.inf
+        return negative
+
+    def test_the_bench_fit_league_from_the_deployed_values(self):
+        func = self.negative_objective(_bench_fit_history(), True, 4)
+        assert self.assert_same_search(func, hyperopt._to_vector(H2, True)) > 100
+
+    def test_the_default_starts(self):
+        """The third start has zero coordinates, which the initial simplex
+        steps by a fixed amount instead of 5 %."""
+        history = _chunked_league(40, 4, 200)
+        func = self.negative_objective(history, True, 2)
+        for start in hyperopt.default_starts():
+            self.assert_same_search(func, hyperopt._to_vector(start, True))
+
+    def test_a_five_dimensional_search(self):
+        history = _chunked_league(40, 4, 200)
+        func = self.negative_objective(history, False, 2)
+        self.assert_same_search(func, hyperopt._to_vector(Hyperparameters(tau=0.2), False))
+
+    @pytest.mark.parametrize("budget", [1, 3, 4, 6, 10, 40])
+    def test_a_budget_cut_short(self, monkeypatch, budget):
+        """A quadratic on a staircase: its flat steps fail the contractions,
+        so the simplex shrinks (evaluations 9-11 are the first shrink).  The
+        budgets end inside the initial simplex, at its end, inside a step and
+        inside a shrink."""
+        monkeypatch.setattr(hyperopt, "MAX_EVALUATIONS", budget)
+
+        def func(v):
+            return float(np.floor(np.sum((v - np.array([0.8, 0.25, -1.2])) ** 2) * 2) / 2)
+
+        assert self.assert_same_search(func, np.array([0.2, 0.6, -1.9])) == budget
+
+    def test_a_partly_minus_infinity_initial_simplex(self):
+        """Two of the four initial vertices score -inf, as degenerate candidates do."""
+        def func(v):
+            if v[0] > 0.205 or v[2] < -1.95:
+                return math.inf
+            return float(np.sum((v - np.array([0.1, 0.3, -1.5])) ** 2))
+
+        self.assert_same_search(func, np.array([0.2, 0.6, -1.9]))

@@ -6,6 +6,7 @@ independently of the package.
 """
 
 import math
+import sys
 import types
 
 import numpy as np
@@ -361,3 +362,34 @@ class TestCompareUpdatesReference:
             got = oracle.compare_updates(games, H2, CFG, stratify=True)
         assert got.rows == want.rows == []
         assert got.excluded == want.excluded == 6
+
+
+class TestWarmMomentsInAFreshInterpreter:
+    @pytest.mark.skipif(sys.platform != "linux", reason="minor page faults as Linux counts them")
+    def test_take_no_page_faults(self, fresh_python):
+        """500 order-9 games per call, in a process that never loads scipy (so
+        its heap was not grown beforehand): warm calls reuse the heap."""
+        got = fresh_python("""
+            import json, resource, sys
+            import numpy as np
+            from drawrating import oracle
+            from drawrating.model import Hyperparameters
+
+            rng = np.random.default_rng(7)
+            n = 500
+            args = (rng.normal(0.0, 1.0, n), rng.uniform(0.2, 1.5, n),
+                    rng.normal(0.0, 1.0, n), rng.uniform(0.2, 1.5, n),
+                    rng.integers(0, 3, n), np.where(rng.random(n) < 0.5, 1.0, -1.0),
+                    Hyperparameters(), 9)
+            for _ in range(5):
+                oracle.posterior_moments(*args)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(50):
+                oracle.posterior_moments(*args)
+            print(json.dumps({
+                "faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,
+                "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+            }))
+        """)
+        assert got["scipy"] == []
+        assert got["faults"] < 50

@@ -156,8 +156,8 @@ def snapshots(draw):
                for pid in pids]
     h = Hyperparameters(*draw(st.tuples(finite, finite, finite, finite,
                                         st.floats(0.0, 1e300))))
-    cfg = EngineConfig(draw(positive), draw(st.booleans()), draw(finite), draw(finite),
-                       draw(finite))
+    cfg = EngineConfig(draw(positive), draw(st.booleans()), draw(finite), draw(positive),
+                       draw(positive))
     return RatingSnapshot(draw(st.integers(1, 10**6)), entries, h, cfg)
 
 
