@@ -8,6 +8,7 @@ what makes parameter-recovery and calibration experiments reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,10 @@ class LeagueConfig:
             raise ValueError("periods and games_per_period must be positive")
         if self.pairing not in ("rating-banded", "uniform-random"):
             raise ValueError(f"unknown pairing policy {self.pairing!r}")
+        if not (math.isfinite(self.initial_mean) and math.isfinite(self.initial_sd)
+                and self.initial_sd >= 0):
+            raise ValueError("initial mean must be finite and initial sd finite and "
+                             f">= 0, got {self.initial_mean!r} and {self.initial_sd!r}")
 
 
 @dataclass
@@ -70,8 +75,12 @@ def simulate_strengths(cfg: LeagueConfig, h: Hyperparameters) -> np.ndarray:
     rng, _ = _streams(cfg.seed)
     theta = np.empty((cfg.players, cfg.periods))
     theta[:, 0] = rng.normal(cfg.initial_mean, cfg.initial_sd, cfg.players)
-    for t in range(1, cfg.periods):
-        theta[:, t] = theta[:, t - 1] + rng.normal(0.0, h.tau, cfg.players)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for t in range(1, cfg.periods):
+            theta[:, t] = theta[:, t - 1] + rng.normal(0.0, h.tau, cfg.players)
+    if not np.isfinite(theta).all():
+        raise ValueError("simulated strengths overflow: the initial mean, initial sd "
+                         "or tau is too large")
     return theta
 
 
@@ -113,20 +122,27 @@ def simulate_games(
         )
     _, rng = _streams(cfg.seed)
     games = []
-    outcomes = np.array([model.WIN, model.DRAW, model.LOSS])
+    # one id string per player and one float per outcome, shared by every record
+    names = [player_name(i) for i in range(cfg.players)]
+    outcomes = (model.WIN, model.DRAW, model.LOSS)
     for t in range(cfg.periods):
+        period = t + 1
         theta_t = strengths[:, t]
         pairs = _pair_players(theta_t, cfg.games_per_period, cfg.pairing, rng)
         swap = rng.random(cfg.games_per_period) < 0.5
         white = np.where(swap, pairs[:, 1], pairs[:, 0])
         black = np.where(swap, pairs[:, 0], pairs[:, 1])
         p = model.probability_array(theta_t[white], theta_t[black], 1.0, h)
+        bad = np.flatnonzero(~np.isfinite(p).all(axis=1))
+        if bad.size:
+            raise ValueError(f"period {period}: non-finite outcome probabilities "
+                             f"{p[bad[0]].tolist()}")
         u = rng.random(cfg.games_per_period)
         sampled = (u[:, None] < p.cumsum(axis=1)).argmax(axis=1)
-        for w, b, o in zip(white, black, sampled):
-            games.append(
-                GameRecord(t + 1, player_name(w), player_name(b), float(outcomes[o]))
-            )
+        games.extend(
+            GameRecord(period, names[w], names[b], outcomes[o])
+            for w, b, o in zip(white.tolist(), black.tolist(), sampled.tolist())
+        )
     return games
 
 

@@ -33,8 +33,10 @@ class SnapshotFormatError(ValueError):
     """Snapshot stream is malformed or has an unsupported schema version."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GameRecord:
+    """One game; slotted, so it holds no instance dict (about 70 B a game)."""
+
     period: int
     white_id: str
     black_id: str
@@ -65,9 +67,11 @@ def parse_games(stream) -> tuple[list[GameRecord], list[tuple[int, str]]]:
     """Parse a game file into (records, rejects); never aborts on a bad row.
 
     Rejects carry (line number, reason).  A header row is skipped if
-    present.
+    present.  All records of one player share one id string, and all
+    records of one period one int.
     """
     records, rejects = [], []
+    shared = {}  # one object per player id and per period, for this parse
     reader = csv.reader(stream)
     for line_no, row in enumerate(reader, start=1):
         if not row or (line_no == 1 and [c.strip().lower() for c in row[:1]] == ["period"]):
@@ -75,7 +79,7 @@ def parse_games(stream) -> tuple[list[GameRecord], list[tuple[int, str]]]:
         if len(row) != 4:
             rejects.append((line_no, f"expected 4 fields, got {len(row)}"))
             continue
-        period_text, white, black, result = (c.strip() for c in row)
+        period_text, white, black, result = map(str.strip, row)
         try:
             period = int(period_text)
         except ValueError:
@@ -94,7 +98,9 @@ def parse_games(stream) -> tuple[list[GameRecord], list[tuple[int, str]]]:
         if outcome is None:
             rejects.append((line_no, f"bad result {result!r}"))
             continue
-        records.append(GameRecord(period, white, black, outcome))
+        records.append(GameRecord(shared.setdefault(period, period),
+                                  shared.setdefault(white, white),
+                                  shared.setdefault(black, black), outcome))
     return records, rejects
 
 

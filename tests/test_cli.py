@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import itertools
+import math
 import os
 import tempfile
 import warnings
@@ -616,6 +617,87 @@ class TestSimulate:
         assert run(["simulate", "--players", 1, "--periods", 2,
                     "--games-per-period", 15,
                     "--out-games", tmp_path / "g.csv"]) == cli.EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("flags,message", [
+        # argmax of an all-False row made every game a white win
+        (["--initial-sd=nan"], "initial mean must be finite"),
+        (["--initial-sd=inf"], "initial mean must be finite"),
+        (["--initial-mean=nan"], "initial mean must be finite"),
+        (["--initial-sd=-1"], "initial mean must be finite"),
+        (["--initial-mean=1e308", "--initial-sd=0", "--alpha0=1"],
+         "period 1: non-finite outcome probabilities"),
+    ])
+    def test_a_league_that_cannot_be_sampled_is_refused(self, tmp_path, capsys, flags,
+                                                         message):
+        games, strengths = tmp_path / "g.csv", tmp_path / "s.csv"
+        assert run(["simulate", "--players", 6, "--periods", 2, "--games-per-period", 15,
+                    "--out-games", games, "--out-strengths", strengths, *flags]) \
+            == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+
+#: Float flags of ``simulate`` and the edge values drawn for them.
+_SIMULATE_FLOATS = ("--initial-mean", "--initial-sd", "--tau", "--alpha0", "--alpha1",
+                    "--beta0", "--beta1")
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([1e308, -1e308, math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
+                     -1e-300, 5e-324]),
+    st.floats(-5.0, 5.0),
+)
+
+
+class TestExtremeSimulateFlags:
+    """``simulate`` at edge values of its float flags either writes a league
+    of finite strengths and valid results, or fails with one ``error:`` line
+    and leaves no file.  Sizes stay at 20 or less."""
+
+    @given(
+        floats=st.dictionaries(st.sampled_from(_SIMULATE_FLOATS), _EDGE_FLOATS),
+        players=st.integers(1, 20), periods=st.integers(0, 20),
+        games=st.integers(0, 20),
+        pairing=st.sampled_from(["rating-banded", "uniform-random"]),
+    )
+    @example(floats={"--initial-sd": math.nan}, players=6, periods=2, games=15,
+             pairing="rating-banded")
+    @example(floats={"--initial-mean": 1e308, "--initial-sd": 0.0, "--alpha0": 1.0},
+             players=6, periods=2, games=15, pairing="rating-banded")
+    @example(floats={"--tau": 1e308}, players=6, periods=3, games=5,
+             pairing="uniform-random")
+    @settings(max_examples=300, deadline=None)
+    def test_ends_in_a_valid_league_or_one_error(self, floats, players, periods, games,
+                                                 pairing):
+        with tempfile.TemporaryDirectory() as tmp:
+            games_path = os.path.join(tmp, "games.csv")
+            strengths_path = os.path.join(tmp, "strengths.csv")
+            argv = ["simulate", f"--players={players}", f"--periods={periods}",
+                    f"--games-per-period={games}", f"--pairing={pairing}",
+                    "--out-games", games_path, "--out-strengths", strengths_path]
+            argv += [f"{flag}={value!r}" for flag, value in floats.items()]
+            err = io.StringIO()
+            # a numpy warning would be one more stderr line, so it fails the test
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(argv)
+            err = err.getvalue()
+            assert "Traceback" not in err
+            if code == cli.EXIT_OK:
+                assert "error:" not in err
+                with open(strengths_path, encoding="utf-8") as fh:
+                    rows = list(csv.reader(fh))[1:]
+                assert len(rows) == players
+                assert all(math.isfinite(float(v)) for row in rows for v in row[1:])
+                with open(games_path, encoding="utf-8") as fh:
+                    results = [row[3] for row in list(csv.reader(fh))[1:]]
+                assert len(results) == periods * games
+                assert set(results) <= {"1", "0.5", "0"}
+            else:
+                assert code in (cli.EXIT_INPUT_ERROR, cli.EXIT_DEGENERATE), err
+                assert [line for line in err.splitlines() if line.startswith("error:")] \
+                    == [err.splitlines()[-1]], err
+                assert os.listdir(tmp) == []
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Tests for the synthetic league simulator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,19 @@ class TestLeagueConfig:
             LeagueConfig(players=4, periods=2, games_per_period=10,
                          pairing="swiss")
 
+    @pytest.mark.parametrize("mean,sd", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+        (0.0, math.nan), (0.0, math.inf), (0.0, -1.0), (0.0, -1e-300),
+    ])
+    def test_a_non_finite_mean_or_a_bad_sd_is_refused(self, mean, sd):
+        with pytest.raises(ValueError, match="initial mean must be finite"):
+            LeagueConfig(players=4, periods=2, games_per_period=10,
+                         initial_mean=mean, initial_sd=sd)
+
+    def test_a_zero_sd_and_an_extreme_finite_mean_are_accepted(self):
+        LeagueConfig(players=4, periods=2, games_per_period=10,
+                     initial_mean=-1e308, initial_sd=0.0)
+
 
 class TestStrengths:
     def test_shape_and_initial_distribution(self):
@@ -40,6 +54,11 @@ class TestStrengths:
         increments = np.diff(theta, axis=1).ravel()
         assert increments.mean() == pytest.approx(0.0, abs=0.01)
         assert increments.std() == pytest.approx(0.3, abs=0.01)
+
+    def test_an_overflowing_walk_is_refused(self):
+        cfg = LeagueConfig(players=10, periods=3, games_per_period=10, seed=3)
+        with pytest.raises(ValueError, match="strengths overflow"):
+            simulate.simulate_strengths(cfg, Hyperparameters(tau=1e308))
 
     def test_zero_tau_freezes_strengths(self):
         cfg = LeagueConfig(players=10, periods=5, games_per_period=10, seed=3)
@@ -116,6 +135,41 @@ class TestSimulateGames:
             se = math.sqrt(expected[idx] * (1 - expected[idx]) / n)
             assert counts[y] / n == pytest.approx(float(expected[idx]),
                                                   abs=5 * se + 1e-4)
+
+    def test_non_finite_outcome_probabilities_are_refused(self):
+        """Strengths whose sum overflows give NaN probabilities under a
+        white advantage; sampling them made every game a white win."""
+        cfg = LeagueConfig(players=4, periods=2, games_per_period=10,
+                           initial_mean=1e308, initial_sd=0.0)
+        h = Hyperparameters(alpha0=1.0)
+        strengths = simulate.simulate_strengths(cfg, h)
+        assert np.isfinite(strengths).all()
+        with pytest.raises(ValueError, match="period 1: non-finite outcome probabilities"):
+            simulate.simulate_games(strengths, cfg, h)
+
+    def test_records_share_one_id_per_player_and_the_model_outcomes(self):
+        cfg = LeagueConfig(players=30, periods=300, games_per_period=20, seed=13)
+        league = simulate.simulate_league(cfg, H2)
+        first = {}
+        for g in league.games:
+            for value in (g.white_id, g.black_id, g.period):
+                assert first.setdefault(value, value) is value
+            assert any(g.outcome is o for o in (model.WIN, model.DRAW, model.LOSS))
+        assert len(first) == 30 + 300
+
+    def test_a_simulated_game_costs_at_most_100_bytes(self):
+        cfg = LeagueConfig(players=200, periods=10, games_per_period=2_000,
+                           pairing="uniform-random", seed=14)
+        strengths = simulate.simulate_strengths(cfg, H2)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            games = simulate.simulate_games(strengths, cfg, H2)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(games) == 20_000
+        assert held / len(games) <= 100
 
     def test_shape_mismatch_rejected(self):
         cfg = LeagueConfig(players=5, periods=2, games_per_period=10)

@@ -1,9 +1,12 @@
 """Tests for game parsing, snapshot persistence and prior initialization."""
 
 import csv
+import dataclasses
 import io
 import math
 import os
+import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +54,64 @@ class TestParseGames:
     def test_blank_lines_skipped(self):
         records, rejects = store.parse_games(io.StringIO("\n1,a,b,1\n\n"))
         assert len(records) == 1 and rejects == []
+
+
+class TestCompactRecords:
+    """A game record is slotted, and a parse shares one id string per player
+    and one int per period among its records."""
+
+    @staticmethod
+    def _league_text(games=20_000, players=200):
+        # periods above 256, whose ints Python does not cache
+        rows = [f"{1000 + k // 2000},player{k % players},player{(7 * k + 1) % players},"
+                f"{'1' if k % 3 == 0 else '0.5' if k % 3 == 1 else 'L'}"
+                for k in range(games)]
+        return "period,white,black,result\n" + "\n".join(rows) + "\n"
+
+    def test_a_record_has_slots_and_no_instance_dict(self):
+        record = GameRecord(1, "a", "b", 1.0)
+        assert GameRecord.__slots__ == ("period", "white_id", "black_id", "outcome")
+        assert not hasattr(record, "__dict__")
+
+    def test_fields_keep_their_order(self):
+        assert [f.name for f in dataclasses.fields(GameRecord)] \
+            == ["period", "white_id", "black_id", "outcome"]
+        assert GameRecord(3, "a", "b", 0.5) == GameRecord(
+            period=3, white_id="a", black_id="b", outcome=0.5)
+
+    def test_equality_hashing_replace_and_pickle(self):
+        record = GameRecord(2, "anna", "bert", 0.5)
+        same = GameRecord(2, "an" + "na", "bert", 0.5)
+        assert record == same and hash(record) == hash(same)
+        assert record != GameRecord(2, "anna", "bert", 1.0)
+        assert len({record, same, GameRecord(3, "anna", "bert", 0.5)}) == 2
+        assert dataclasses.replace(record, outcome=1.0) == GameRecord(2, "anna", "bert", 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.period = 3
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(record, protocol)) == record
+
+    def test_a_parse_shares_ids_and_periods(self):
+        records, rejects = store.parse_games(io.StringIO(self._league_text(4_000, 50)))
+        assert rejects == []
+        first = {}
+        for r in records:
+            for value in (r.white_id, r.black_id, r.period):
+                assert first.setdefault(value, value) is value
+        assert len(first) == 50 + 2
+
+    def test_a_parsed_game_costs_at_most_100_bytes(self):
+        text = self._league_text()
+        stream = io.StringIO(text)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records, rejects = store.parse_games(stream)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 20_000 and rejects == []
+        assert held / len(records) <= 100
 
 
 class TestGameRoundTrip:
