@@ -204,13 +204,12 @@ def cmd_predict(args) -> int:
         decisive = p[:, 0] / (p[:, 0] + p[:, 2])
 
     def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["white", "black", "p_win", "p_draw", "p_loss", "p_win_decisive"])
-        writer.writerows(
-            [white, black, repr(p_win), repr(p_draw), repr(p_loss), repr(p_dec)]
-            for (_, white, black), (p_win, p_draw, p_loss), p_dec
-            in zip(fixtures, p.tolist(), decisive.tolist())
-        )
+        fh.write("white,black,p_win,p_draw,p_loss,p_win_decisive\n")
+        _, whites, blacks = zip(*fixtures) if fixtures else ((),) * 3
+        fh.writelines(store.delimited_lines(
+            whites, map(store.csv_field, blacks),
+            *(map(repr, column) for column in (*p.T.tolist(), decisive.tolist())),
+        ))
 
     _write_output(args.out, write)
     return EXIT_OK
@@ -246,7 +245,11 @@ def cmd_optimize(args) -> int:
         fh.write(f"objective,{result.objective!r}\n")
         fh.write(f"evaluations,{result.evaluations}\n")
         fh.write(f"converged,{int(result.converged)}\n")
-    return EXIT_OK if result.converged else EXIT_INPUT_ERROR
+    if not result.converged:
+        print("error: no start improved on its initial point; the table holds the best start",
+              file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    return EXIT_OK
 
 
 def cmd_validate(args) -> int:
@@ -295,13 +298,12 @@ def cmd_simulate(args) -> int:
     with store.atomic_outputs(args.out_games, args.out_strengths) as (games_fh, strengths_fh):
         store.write_games(league.games, games_fh)
         if strengths_fh:
-            writer = csv.writer(strengths_fh, lineterminator="\n")
-            writer.writerow(["player"] + [f"period_{t}" for t in range(1, cfg.periods + 1)])
-            for i in range(cfg.players):
-                writer.writerow(
-                    [simulate.player_name(i)]
-                    + [repr(float(v)) for v in league.true_strengths[i]]
-                )
+            strengths_fh.write(",".join(
+                ["player"] + [f"period_{t}" for t in range(1, cfg.periods + 1)]) + "\n")
+            strengths_fh.writelines(store.delimited_lines(
+                map(simulate.player_name, range(cfg.players)),
+                *(map(repr, column) for column in league.true_strengths.T.tolist()),
+            ))
     return EXIT_OK
 
 

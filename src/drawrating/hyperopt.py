@@ -80,19 +80,18 @@ def _node_columns(order: int):
 
 
 def _node_grid(white_mu, white_sigma, black_mu, black_sigma, h: Hyperparameters, order: int,
-               kernel=model.log_probability_columns, out=None):
-    """Log outcome columns (win, draw, loss) of n games on the quadrature grid,
-    stacked on a leading axis.
+               work: engine.Workspace):
+    """``model.shifted_logit_columns`` of n games on the quadrature grid, the
+    node pairs leading, (order, order, n): (grid, logits, log total, weights).
 
-    The belief-integrated outcome probability sums these columns, exponentiated
-    and times the returned node-pair weights, over both players' nodes.  The
-    nodes lead the layout, (order, order, n), so the node pairs are its rows.
-    ``kernel`` forms the columns, as ``model.log_probability_columns`` does.
-    ``out``, if given, is a pair of work blocks: (2, order, n) for the nodes
-    and the kernel's own block.
+    ``grid`` is the (9, order, order, n) block ``"grid"`` of ``work``: rows
+    0-6 the kernel's block and 7-8 the nodes; rows 3-8 are free once the
+    logits are formed.  The weights are the node pairs' (order, order, 1).
     """
     white_nodes, black_nodes, w2 = _node_columns(order)
-    thetas, block = (np.empty((2, order, len(white_mu))), None) if out is None else out
+    width = len(white_mu)
+    grid = work.block("grid", (9, order, order, width))
+    thetas = grid[7:].reshape(-1)[:2 * order * width].reshape(2, order, width)
     # mu + (sqrt(2) sigma) node, for White's nodes on the first axis and
     # Black's on the second
     theta_w, theta_b = thetas[0][:, None, :], thetas[1][None, :, :]
@@ -101,12 +100,12 @@ def _node_grid(white_mu, white_sigma, black_mu, black_sigma, h: Hyperparameters,
         np.multiply(math.sqrt(2.0), sigma, out=theta)
         np.multiply(theta, node, out=theta)
         np.add(mu, theta, out=theta)
-    return kernel(theta_w, theta_b, 1.0, h, block), w2
+    logits, log_total = model.shifted_logit_columns(theta_w, theta_b, 1.0, h, grid[:7])
+    return grid, logits, log_total, w2
 
 
-def _pair_sum(terms: np.ndarray, order: int, width: int, out=None) -> np.ndarray:
-    """Sum of weighted (order, order, width) terms over the node pairs: (width,),
-    written in ``out`` if given.
+def _pair_sum(terms: np.ndarray, order: int, width: int, out: np.ndarray) -> np.ndarray:
+    """Sum of weighted (order, order, width) terms over the node pairs, in ``out``.
 
     The pairs are added one at a time in C order, as numpy sums the node
     axes of a stacked (..., order, order, 3) grid, so every form agrees to
@@ -115,8 +114,6 @@ def _pair_sum(terms: np.ndarray, order: int, width: int, out=None) -> np.ndarray
     input of no games still reshapes.
     """
     first, *rest = terms.reshape(order * order, width)
-    if out is None:
-        out = np.empty(width)
     np.copyto(out, first)
     for row in rest:
         np.add(out, row, out=out)
@@ -131,7 +128,7 @@ def predictive_probability_array(
     Integrates the outcome model over both players' independent normal
     beliefs using an order^2 tensor grid; broadcasts over leading axes.
     The broadcast games are integrated in ``engine.chunks`` of ``order**2``
-    node pairs each, so memory stays bounded at any size and order.
+    node pairs each, in one workspace, so memory stays bounded at any size and order.
     """
     beliefs = np.broadcast_arrays(*(
         np.asarray(x, dtype=float) for x in (white_mu, white_sigma, black_mu, black_sigma)
@@ -139,13 +136,14 @@ def predictive_probability_array(
     shape, n = beliefs[0].shape, beliefs[0].size
     beliefs = [b.reshape(n) for b in beliefs]
     out = np.empty((n, 3))
+    work = engine.Workspace()
     for part in engine.chunks(n, order * order):
-        width = part.stop - part.start
-        columns, w2 = _node_grid(*(b[part] for b in beliefs), h, order)
-        np.exp(columns, out=columns)
-        columns *= w2
-        for k, column in enumerate(columns):
-            _pair_sum(column, order, width, out=out[part, k])
+        _, logits, log_total, w2 = _node_grid(*(b[part] for b in beliefs), h, order, work)
+        logits -= log_total
+        np.exp(logits, out=logits)
+        logits *= w2
+        for k, column in enumerate(logits):
+            _pair_sum(column, order, part.stop - part.start, out=out[part, k])
     return out.reshape(*shape, 3)
 
 
@@ -168,14 +166,10 @@ def _observed_probability(
     for part in engine.chunks(len(observed), order * order):
         width = part.stop - part.start
         beliefs = (x[part] for x in (white_mu, white_sigma, black_mu, black_sigma))
-        # (order, order, width) rows: 0-6 the logit block, and 7-8 the nodes
-        # (2 order width cells); then 3 the observed terms and 4 the take index
-        shape = (order, order, width)
-        grid = work.block("grid", (9, *shape))
-        thetas = grid[7:].reshape(-1)[:2 * order * width].reshape(2, order, width)
-        (logits, log_total), w2 = _node_grid(*beliefs, h, order, model.shifted_logit_columns,
-                                             (thetas, grid[:7]))
-        index = model.observed_index(observed[part], work.positions(shape), grid[4].view(np.intp))
+        grid, logits, log_total, w2 = _node_grid(*beliefs, h, order, work)
+        # grid rows 3 and 4: the observed terms and the take index
+        index = model.observed_index(observed[part], work.positions((order, order, width)),
+                                     grid[4].view(np.intp))
         # the indices are in range by construction: "wrap" writes straight to out
         terms = logits.take(index, out=grid[3], mode="wrap")
         terms -= log_total

@@ -244,9 +244,14 @@ def compare_updates(
                                (opponent, "mu"), (opponent, "sigma"))
     )
     color = np.array(color, dtype=float)
-    d1, d2, p_obs = engine._delta_arrays(
-        focal_mu, opp_mu, opp_sigma, observed, color, h, cfg.draw_score_override,
-    )
+    d1, d2, p_obs = np.empty((3, len(games)))
+    work = engine.Workspace()
+    # each game's terms are computed alone, as in engine.filter_period
+    for part in engine.chunks(len(games), 2):
+        d1[part], d2[part], p_obs[part] = engine._delta_arrays(
+            focal_mu[part], opp_mu[part], opp_sigma[part], observed[part], color[part], h,
+            cfg.draw_score_override, work,
+        )
     mean, second = posterior_moments(
         focal_mu, focal_sigma, opp_mu, opp_sigma, observed, color, h, order
     )

@@ -99,16 +99,15 @@ def _pair_players(theta_t: np.ndarray, n_games: int, pairing: str, rng) -> np.nd
     rank[order] = np.arange(n)
     lo = np.searchsorted(sorted_theta, theta_t[first] - BAND_WIDTH, side="left")
     hi = np.searchsorted(sorted_theta, theta_t[first] + BAND_WIDTH, side="right")
-    opponents = np.empty(n_games, dtype=int)
-    for k in range(n_games):
-        candidates = np.delete(np.arange(lo[k], hi[k]), rank[first[k]] - lo[k])
-        if len(candidates):
-            pick = candidates[rng.integers(len(candidates))]
+    picks = []
+    for low, high, r in zip(lo.tolist(), hi.tolist(), rank[first].tolist()):
+        if high - low > 1:
+            # the candidates are the band's ranks without the player's own
+            pick = low + int(rng.integers(high - low - 1))
+            picks.append(pick + (pick >= r))
         else:
-            r = rank[first[k]]
-            pick = r - 1 if r > 0 else r + 1
-        opponents[k] = order[pick]
-    return np.column_stack([first, opponents])
+            picks.append(r - 1 if r > 0 else r + 1)
+    return np.column_stack([first, order[np.array(picks, dtype=int)]])
 
 
 def simulate_games(

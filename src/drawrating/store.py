@@ -140,17 +140,16 @@ def read_games(path: str) -> tuple[list[GameRecord], list[tuple[int, str]]]:
 
 
 def write_games(games: list[GameRecord], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["period", "white", "black", "result"])
-    for g in games:
-        writer.writerow([g.period, g.white_id, g.black_id, _format_result(g.outcome)])
+    stream.write("period,white,black,result\n")
+    stream.writelines(f"{g.period},{csv_field(g.white_id)},{csv_field(g.black_id)},"
+                      f"{_format_result(g.outcome)}\n" for g in games)
 
 
 def _format_result(outcome: float) -> str:
     return {1.0: "1", 0.5: "0.5", 0.0: "0"}[float(outcome)]
 
 
-def _csv_field(text: str) -> str:
+def csv_field(text: str) -> str:
     """``text`` as ``csv.writer`` writes it as one of several fields in a row,
     except that a lone carriage return is quoted too: ``csv.writer`` leaves it
     bare under a ``"\\n"`` line terminator, and ``csv.reader`` refuses it."""
@@ -168,7 +167,7 @@ def delimited_lines(ids, *columns):
     quote or a line break is quoted.  An id with a lone carriage return is
     the one exception to the byte identity: it is quoted, so that it reads back.
     """
-    for row in zip(map(_csv_field, ids), *columns):
+    for row in zip(map(csv_field, ids), *columns):
         yield ",".join(row) + "\n"
 
 

@@ -150,9 +150,10 @@ def test_predict_is_independent_of_the_chunk_size(predict_inputs, capsys, chunk_
 
 @pytest.mark.parametrize("chunk", [_one_game_chunks, _two_game_chunks])
 def test_validate_is_independent_of_the_chunk_size(capsys, chunk_bound, chunk):
-    """37 games in chunks of one; or the oracle grid (order 9) in chunks of
-    two games and the outcome draws (order 3) in chunks of 18, each with a
-    last chunk of one."""
+    """37 games in chunks of one in each pass; or the outcome draws (order 3)
+    in chunks of 18 and the oracle grid (order 9) in chunks of two games,
+    each with a last chunk of one, while the game terms (two cells a game)
+    stay one chunk."""
     argv = ["validate", "--games", 37, "--seed", 4, "--stratify",
             "--alpha0", 0.2, "--alpha1", 0.1]
     assert run(argv) == cli.EXIT_OK
@@ -160,7 +161,7 @@ def test_validate_is_independent_of_the_chunk_size(capsys, chunk_bound, chunk):
     counts = chunk_bound(chunk(9))
     assert run(argv) == cli.EXIT_OK
     assert capsys.readouterr() == whole
-    assert counts == ([37, 37] if chunk is _one_game_chunks else [3, 19])
+    assert counts == ([37, 37, 37] if chunk is _one_game_chunks else [3, 1, 19])
 
 
 def test_compare_updates_excludes_an_invalid_outcome_per_game():

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import math
@@ -160,6 +161,21 @@ class TestPredict:
             p = [float(v) for v in fields[2:5]]
             assert sum(p) == pytest.approx(1.0, abs=1e-12)
             assert float(fields[5]) == pytest.approx(p[0] / (p[0] + p[2]))
+
+    def test_an_id_with_a_lone_carriage_return_reads_back(self, tmp_path, capsys):
+        """csv.writer left the id bare, and csv.reader split its row in two."""
+        snap = tmp_path / "s.snapshot"
+        _write_snapshot(snap)
+        fixtures = tmp_path / "f.csv"
+        fixtures.write_text('white,black\n"a\rb",anna\nanna,bert\n', newline="")
+        out_path = tmp_path / "pred.csv"
+        assert run(["predict", "--snapshot", snap, "--fixtures", fixtures,
+                    "--out", out_path]) == cli.EXIT_OK
+        with open(out_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[:2] for row in rows] == [["white", "black"], ["a\rb", "anna"],
+                                              ["anna", "bert"]]
+        assert all(len(row) == 6 for row in rows)
 
     def test_missing_snapshot_is_input_error(self, tmp_path, capsys):
         fixtures = tmp_path / "f.csv"
@@ -698,6 +714,136 @@ class TestExtremeSimulateFlags:
                 assert [line for line in err.splitlines() if line.startswith("error:")] \
                     == [err.splitlines()[-1]], err
                 assert os.listdir(tmp) == []
+
+
+#: Float flags of ``rate``, ``predict`` and ``validate``; ``optimize`` takes the
+#: config flags only.
+_HYPERPARAMETER_FLOATS = ("--alpha0", "--alpha1", "--beta0", "--beta1", "--tau")
+_CONFIG_FLOATS = ("--sigma-cap", "--default-prior-elo", "--default-prior-sd-elo",
+                  "--rated-prior-sd-elo")
+
+
+def _rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def _finite(fields):
+    return all(math.isfinite(float(v)) for v in fields)
+
+
+@pytest.fixture(scope="class")
+def flag_inputs(tmp_path_factory):
+    """Eight players over three periods: the whole history, the first and a
+    second period (with a new player) alone, the snapshot after the first,
+    two fixtures (one of a stranger) and two Elo ratings."""
+    tmp = tmp_path_factory.mktemp("flags")
+    games = [f"{t},p{i},p{(i + 1 + t) % 8},{['1', '0.5', '0'][(i + t) % 3]}\n"
+             for t in (1, 2, 3) for i in range(8)]
+    texts = {
+        "games.csv": "".join(games),
+        "period1.csv": "".join(games[:8]),
+        "period2.csv": "2,p0,p1,1\n2,p3,new,0.5\n",
+        "fixtures.csv": "white,black\np0,p1\np2,stranger\n",
+        "ratings.csv": "player,elo\np0,2100\np1,1700\n",
+    }
+    for name, text in texts.items():
+        (tmp / name).write_text(text)
+    assert run(["rate", "--games", tmp / "period1.csv", "--out-snapshot", tmp / "in.snapshot",
+                "--report", tmp / "report1.csv"]) == cli.EXIT_OK
+    return tmp
+
+
+class TestExtremeFloatFlags:
+    """``rate``, ``predict``, ``validate`` and ``optimize`` at edge values of
+    their float flags either exit 0 with finite numbers in every output, or
+    exit 1 or 2 with one ``error:`` line, no traceback, no partial file and
+    every existing output unchanged.  Two outputs keep a non-finite number by
+    design: ``p_win_decisive`` is NaN (0/0) where a draw is certain, and the
+    trace scores a degenerate candidate -inf.  ``optimize`` writes its table
+    (``converged,0``) and trace also when no start improves, and exits 1.
+    Values go as ``--flag=value``: argparse reads a separate ``-1e308`` or
+    ``-inf`` as an option."""
+
+    COMMANDS = {
+        "rate": (_HYPERPARAMETER_FLOATS + _CONFIG_FLOATS,
+                 ["rate", "--games", "period1.csv", "--out-snapshot", "out.snapshot",
+                  "--report", "report.csv"]),
+        "rate --snapshot": (_HYPERPARAMETER_FLOATS + _CONFIG_FLOATS,
+                            ["rate", "--games", "period2.csv", "--snapshot", "in.snapshot",
+                             "--out-snapshot", "out.snapshot", "--report", "report.csv"]),
+        "predict": (_HYPERPARAMETER_FLOATS + _CONFIG_FLOATS,
+                    ["predict", "--snapshot", "in.snapshot", "--fixtures", "fixtures.csv",
+                     "--out", "predictions.csv"]),
+        "validate": (_HYPERPARAMETER_FLOATS + _CONFIG_FLOATS,
+                     ["validate", "--games", "20", "--seed", "3", "--stratify", "--order", "5",
+                      "--out", "validation.csv"]),
+        "optimize": (_CONFIG_FLOATS,
+                     ["optimize", "--games", "games.csv", "--train-until", "1",
+                      "--ratings", "ratings.csv", "--out", "fit.csv", "--trace", "trace.csv"]),
+    }
+    OUTPUTS = ("out.snapshot", "report.csv", "predictions.csv", "validation.csv", "fit.csv",
+               "trace.csv")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @given(floats=st.dictionaries(st.sampled_from(_HYPERPARAMETER_FLOATS + _CONFIG_FLOATS),
+                                  _EDGE_FLOATS))
+    # no start of optimize improves: it exited 1 with nothing on stderr
+    @example(floats={"--default-prior-elo": 1e308})
+    @settings(max_examples=25, deadline=None)
+    def test_ends_in_finite_outputs_or_one_error(self, flag_inputs, command, floats):
+        names, argv = self.COMMANDS[command]
+        floats = {flag: value for flag, value in floats.items() if flag in names}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = functools.partial(os.path.join, tmp)
+            for name in os.listdir(flag_inputs):
+                os.symlink(flag_inputs / name, path(name))
+            existing = {name: f"an older {name}\n" for name in self.OUTPUTS}
+            for name, text in existing.items():
+                with open(path(name), "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            argv = [path(a) if a.endswith((".csv", ".snapshot")) else a for a in argv]
+            err = io.StringIO()
+            # a numpy warning would be one more stderr line, so it fails the test
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(argv + [f"{flag}={value!r}" for flag, value in floats.items()])
+            err = err.getvalue()
+            assert "Traceback" not in err
+            assert not [name for name in os.listdir(tmp) if name.startswith(".partial-")]
+            changed = {name for name, text in existing.items()
+                       if open(path(name), encoding="utf-8").read() != text}
+            if code == cli.EXIT_OK:
+                assert "error:" not in err
+            else:
+                assert code in (cli.EXIT_INPUT_ERROR, cli.EXIT_DEGENERATE), err
+                assert [line for line in err.splitlines() if line.startswith("error:")] \
+                    == [err.splitlines()[-1]], err
+            if code != cli.EXIT_OK and not (command == "optimize" and changed):
+                assert not changed
+                return
+            if command.startswith("rate"):
+                assert changed == {"out.snapshot", "report.csv"}
+                # reading refuses a non-finite belief, hyperparameter or setting
+                store.read_snapshot_file(path("out.snapshot"))
+                assert all(_finite(row[1:]) for row in _rows(path("report.csv")))
+            elif command == "predict":
+                assert changed == {"predictions.csv"}
+                for row in _rows(path("predictions.csv")):
+                    p_win, _, p_loss, p_dec = map(float, row[2:])
+                    assert _finite(row[2:5]) and (math.isfinite(p_dec) or p_win + p_loss == 0)
+            elif command == "validate":
+                assert changed == {"validation.csv"}
+                assert all(_finite(row[1:]) for row in _rows(path("validation.csv")))
+            else:
+                assert changed == {"fit.csv", "trace.csv"}
+                table = dict(_rows(path("fit.csv")))
+                assert table["converged"] == str(int(code == cli.EXIT_OK))
+                assert _finite(v for k, v in table.items() if k != "objective")
+                assert code != cli.EXIT_OK or math.isfinite(float(table["objective"]))
+                assert all(_finite(row[:6]) and float(row[6]) < math.inf
+                           for row in _rows(path("trace.csv")))
 
 
 class TestDeterminism:

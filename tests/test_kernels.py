@@ -152,9 +152,10 @@ def choose_filter_period(terms, ids, mu, sigma, tracked, h, cfg):
 
 def choose_observed_probability(white_mu, white_sigma, black_mu, black_sigma, observed, h,
                                 order):
-    columns, w2 = hyperopt._node_grid(white_mu, white_sigma, black_mu, black_sigma, h, order)
-    terms = np.exp(np.choose(observed, columns)) * w2
-    return hyperopt._pair_sum(terms, order, len(observed))
+    _, logits, log_total, w2 = hyperopt._node_grid(white_mu, white_sigma, black_mu, black_sigma,
+                                                   h, order, engine.Workspace())
+    terms = np.exp(np.choose(observed, logits - log_total)) * w2
+    return hyperopt._pair_sum(terms, order, len(observed), np.empty(len(observed)))
 
 
 def ref_predictive_probability_array(white_mu, white_sigma, black_mu, black_sigma, h, order):

@@ -89,6 +89,41 @@ class TestPairing:
         from_isolated = pairs[pairs[:, 0] == 0]
         assert np.all(from_isolated[:, 1] == 1)
 
+    @staticmethod
+    def copied_band_pairs(theta_t, n_games, rng):
+        """Rating-banded pairs as first written: each opponent picked from a
+        copy of the band with the player's own rank deleted."""
+        n = len(theta_t)
+        first = rng.integers(n, size=n_games)
+        order = np.argsort(theta_t, kind="stable")
+        sorted_theta = theta_t[order]
+        rank = np.empty(n, dtype=int)
+        rank[order] = np.arange(n)
+        lo = np.searchsorted(sorted_theta, theta_t[first] - simulate.BAND_WIDTH, side="left")
+        hi = np.searchsorted(sorted_theta, theta_t[first] + simulate.BAND_WIDTH, side="right")
+        opponents = np.empty(n_games, dtype=int)
+        for k in range(n_games):
+            candidates = np.delete(np.arange(lo[k], hi[k]), rank[first[k]] - lo[k])
+            if len(candidates):
+                pick = candidates[rng.integers(len(candidates))]
+            else:
+                r = rank[first[k]]
+                pick = r - 1 if r > 0 else r + 1
+            opponents[k] = order[pick]
+        return np.column_stack([first, opponents])
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_banded_pairs_match_the_copied_band(self, seed):
+        """The same pairs and the same draws left in the stream, on fields
+        with ties (rounded strengths) and isolated players (wide spreads)."""
+        field = np.random.default_rng(seed)
+        theta = np.round(field.normal(0.0, 0.3 + seed % 5, 2 + seed % 40), seed % 3)
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs = simulate._pair_players(theta, 400, "rating-banded", got)
+        assert np.array_equal(pairs, self.copied_band_pairs(theta, 400, want))
+        assert pairs.dtype == np.int64
+        assert got.random() == want.random()
+
     def test_uniform_covers_all_opponents(self):
         rng = np.random.default_rng(7)
         theta = np.zeros(6)

@@ -128,6 +128,19 @@ class TestGameRoundTrip:
         assert rejects == []
         assert parsed == games
 
+    def test_ids_that_need_quoting_read_back(self):
+        """csv.writer left a lone carriage return bare, and csv.reader then
+        split the row there."""
+        games = [
+            GameRecord(1, "a\rb", "c,d", 1.0),
+            GameRecord(2, 'e"f', "g\nh", 0.5),
+            GameRecord(3, "i\r\nj", "k\rl\rm", 0.0),
+        ]
+        buf = io.StringIO(newline="")
+        store.write_games(games, buf)
+        buf.seek(0)
+        assert store.parse_games(buf) == (games, [])
+
 
 def _snapshot():
     return RatingSnapshot(
