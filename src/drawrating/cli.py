@@ -371,8 +371,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_numbers(argv: list) -> list:
+    """``argv`` with each ``--flag`` and a next token that reads as a negative
+    number joined into ``--flag=value``, up to a ``--``: argparse takes a
+    separate ``-1e308`` or ``-inf`` for an option, not for the flag's value."""
+    args = list(argv)
+    end = args.index("--") if "--" in args else len(args)
+    # backwards, so that a join does not move the tokens left to scan
+    for k in range(end - 1, 0, -1):
+        flag, value = args[k - 1], args[k]
+        if flag.startswith("--") and "=" not in flag and value.startswith("-"):
+            try:
+                float(value)
+            except ValueError:
+                continue
+            args[k - 1:k + 1] = [f"{flag}={value}"]
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined_numbers(sys.argv[1:] if argv is None else argv))
     # looked up at each call, so a replaced module attribute takes effect
     command = globals()[f"cmd_{args.command}"]
     try:

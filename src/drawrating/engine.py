@@ -23,15 +23,15 @@ import numpy as np
 from . import model
 from .model import Hyperparameters
 
-#: float64 cells (64 KiB) per temporary of an array pass; a larger pass runs
-#: in chunks, so the heap reuses its temporaries instead of faulting in pages.
-GRID_CHUNK = 1 << 13
+#: float64 cells (576 KiB) of a pass's whole work block; a larger pass runs
+#: in chunks, so the heap reuses its blocks instead of faulting in pages.
+GRID_CHUNK = 9 << 13
 
 
 def chunks(n: int, cells: int) -> list:
-    """Slices that cut ``n`` items of ``cells`` cells each into chunks of at
-    most ``GRID_CHUNK`` cells, and at least one item each; ``n`` items that
-    fit in ``GRID_CHUNK`` cells stay one chunk."""
+    """Slices that cut ``n`` items of ``cells`` cells each, counted over every
+    row of their pass's work block, into chunks of at most ``GRID_CHUNK``
+    cells and at least one item each; ``n`` items that fit stay one chunk."""
     step = max(1, GRID_CHUNK // cells)
     return [slice(k, min(k + step, n)) for k in range(0, n, step)]
 
@@ -47,7 +47,8 @@ class Workspace:
     buffer, which grows to the largest block asked for.  Blocks of one name
     share memory: a pass holds one block of each name at a time, and passes
     that run one after the other (the scoring and the filter of a period)
-    use the same names, so that their blocks share memory too.
+    use the same names, so that their blocks share memory too: each pass's
+    ``"grid"`` block is the five-row block of ``model.shifted_logit_columns``.
     ``positions(shape)`` is ``np.arange`` in that shape, the positions of a
     take index (``model.observed_index``), as a view of one kept ramp.
     A workspace serves one pass at a time, so one thread.
@@ -101,6 +102,14 @@ def _innovation_variance(h: Hyperparameters) -> float:
         raise InnovationOverflowError(f"tau {h.tau!r} is too large: its square overflows")
 
 
+def finite_precision(sigma: float) -> bool:
+    """Whether the prior precision ``sigma**-2`` that ``_newton_step`` takes is finite."""
+    try:
+        return math.isfinite(sigma**-2)
+    except (OverflowError, ZeroDivisionError):
+        return False
+
+
 @dataclass
 class PlayerBelief:
     """Normal belief about one player's latent strength."""
@@ -141,6 +150,9 @@ class EngineConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive, got {value}")
+            if name != "sigma_cap" and not finite_precision(model.elo_sd_to_latent(value)):
+                raise ValueError(f"{name} {value!r} is too small: the precision "
+                                 f"sigma**-2 of its latent sd is not finite")
         if not math.isfinite(self.default_prior_elo):
             raise ValueError(f"default_prior_elo must be finite, got {self.default_prior_elo}")
 
@@ -201,24 +213,22 @@ def _delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_ove
             *map(np.atleast_1d, (focal_mu, opp_mu, opp_sigma, outcome, color)))
         work = Workspace()
     n = len(outcome)
-    # (2, n) rows: 0-6 the logit block (logits, scratch, log total) and 7 the
-    # opponent nodes; then 0-2 p, 3 p_y, 4 the take index and then d1, 5 d2,
-    # 6 scratch; once p_y is taken, 7 s1, 2 s2 and the first half of 0 a_y;
-    # last, rows 0-2 the node sums and the deltas
-    block = work.block("grid", (8, 2, n))
+    # (2, n) rows: the kernel's block, with the opponent nodes in row 2; then
+    # 0-2 p, 3 p_y, 4 the take index; with alpha1 == 0, 2 s2, 1 s1 and the
+    # first half of 0 a_y; then 4 d1, 2 d2 and 1 scratch; last, rows 0-1 the
+    # node sums and the deltas
+    block = work.block("grid", (5, 2, n))
     # a huge draw coefficient overflows and p_obs can underflow to exactly 0;
     # the resulting NaNs are caught by the precision check downstream
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        nodes = np.multiply(_NODE_SIGNS, opp_sigma, out=block[7])
+        nodes = np.multiply(_NODE_SIGNS, opp_sigma, out=block[2])
         np.add(opp_mu, nodes, out=nodes)
-        p, log_total = model.shifted_logit_columns(focal_mu, nodes, color, h, block[:7])
+        p, log_total = model.shifted_logit_columns(focal_mu, nodes, color, h, block)
         p -= log_total
         np.exp(p, out=p)
-        # p_y, d1 and d2 at both nodes, one block for the node sums
-        rows = block[3:6]
         index = model.observed_index(outcome, work.positions((2, n)), block[4].view(np.intp))
         # the indices are in range by construction: "wrap" writes straight to out
-        p.take(index, out=rows[0], mode="wrap")
+        p_y = p.take(index, out=block[3], mode="wrap")
         if h.alpha1:
             a = np.stack(model.score_coefficient_columns(color, h, draw_score_override))
             a_y = model.observed_column(outcome, a)
@@ -228,18 +238,21 @@ def _delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_ove
             # one comes from a table, and the loss probability drops out of
             # s1 = sum(p a) and s2 = sum(p a^2)
             a_draw = model.draw_coefficient(h, draw_score_override)
-            s1 = np.multiply(p[1], a_draw, out=block[7])
-            np.add(p[0], s1, out=s1)
             s2 = np.multiply(p[1], a_draw * a_draw, out=p[2])
             np.add(p[0], s2, out=s2)
+            s1 = np.multiply(p[1], a_draw, out=p[1])
+            np.add(p[0], s1, out=s1)
             a_y = np.array([1.0, a_draw, 0.0]).take(outcome, out=p[0, 0], mode="wrap")
-        model.selected_derivatives(rows[0], a_y, s1, s2, out=block[4:7])
+        # d1 in row 4 and d2 in row 2, so that d2, p_y and d1 are rows 2-4
+        model.selected_derivatives(p_y, a_y, s1, s2, out=(block[4], block[2], block[1]))
         # each node row is added to 0.0 in turn, so a zero term sums as +0.0
-        sums = np.add(0.0, rows[:, 0], out=block[:3, 0])
-        p_obs, num1, num2 = np.add(sums, rows[:, 1], out=sums)
-        delta1 = np.divide(num1, p_obs, out=block[0, 1])
-        delta2 = np.divide(num2, p_obs, out=block[1, 1])
-        np.subtract(delta2, np.square(delta1, out=block[2, 1]), out=delta2)
+        sums = block[:2].reshape(4, n)
+        num2, p_obs, num1, delta1 = sums
+        np.add(0.0, block[2:5, 0], out=sums[:3])
+        np.add(sums[:3], block[2:5, 1], out=sums[:3])
+        np.divide(num1, p_obs, out=delta1)
+        delta2 = np.divide(num2, p_obs, out=num2)
+        np.subtract(delta2, np.square(delta1, out=block[3, 0]), out=delta2)
     return delta1, delta2, p_obs
 
 
@@ -456,8 +469,9 @@ def filter_period(period: CompiledPeriod, ids, mu, sigma, tracked, h: Hyperparam
     if players.size:
         tracked[players] = True
         d1, d2 = work.block("terms", (2, period.focal.size))
-        # each term is computed alone, so the chunking leaves every bit as it is
-        for part in chunks(period.focal.size, 2):
+        # each term (five rows of two nodes) is computed alone, so the
+        # chunking leaves every bit as it is
+        for part in chunks(period.focal.size, 10):
             n = part.stop - part.start
             beliefs = work.block("beliefs", (3, n))
             focal, opp = period.focal[part], period.opp[part]

@@ -84,23 +84,24 @@ def _node_grid(white_mu, white_sigma, black_mu, black_sigma, h: Hyperparameters,
     """``model.shifted_logit_columns`` of n games on the quadrature grid, the
     node pairs leading, (order, order, n): (grid, logits, log total, weights).
 
-    ``grid`` is the (9, order, order, n) block ``"grid"`` of ``work``: rows
-    0-6 the kernel's block and 7-8 the nodes; rows 3-8 are free once the
-    logits are formed.  The weights are the node pairs' (order, order, 1).
+    ``grid`` is the kernel's (5, order, order, n) block ``"grid"`` of
+    ``work``, with White's and Black's node strengths written full-width into
+    rows 0 and 2, so that no operand of the kernel broadcasts; row 4 is free
+    once the logits are formed.  The weights are the pairs' (order, order, 1).
     """
     white_nodes, black_nodes, w2 = _node_columns(order)
     width = len(white_mu)
-    grid = work.block("grid", (9, order, order, width))
-    thetas = grid[7:].reshape(-1)[:2 * order * width].reshape(2, order, width)
+    grid = work.block("grid", (5, order, order, width))
     # mu + (sqrt(2) sigma) node, for White's nodes on the first axis and
-    # Black's on the second
-    theta_w, theta_b = thetas[0][:, None, :], thetas[1][None, :, :]
-    for theta, mu, sigma, node in ((theta_w, white_mu, white_sigma, white_nodes),
-                                   (theta_b, black_mu, black_sigma, black_nodes)):
-        np.multiply(math.sqrt(2.0), sigma, out=theta)
-        np.multiply(theta, node, out=theta)
-        np.add(mu, theta, out=theta)
-    logits, log_total = model.shifted_logit_columns(theta_w, theta_b, 1.0, h, grid[:7])
+    # Black's on the second: formed once per node in row 4, then copied
+    # across the other axis, which takes no broadcast buffer as a ufunc would
+    for theta, mu, sigma, node in ((grid[0], white_mu, white_sigma, white_nodes),
+                                   (grid[2], black_mu, black_sigma, black_nodes)):
+        nodes = grid[4].reshape(-1)[:order * width].reshape(node.shape[:2] + (width,))
+        np.multiply(math.sqrt(2.0), sigma, out=nodes)
+        np.multiply(nodes, node, out=nodes)
+        np.copyto(theta, np.add(mu, nodes, out=nodes))
+    logits, log_total = model.shifted_logit_columns(grid[0], grid[2], 1.0, h, grid)
     return grid, logits, log_total, w2
 
 
@@ -109,13 +110,14 @@ def _pair_sum(terms: np.ndarray, order: int, width: int, out: np.ndarray) -> np.
 
     The pairs are added one at a time in C order, as numpy sums the node
     axes of a stacked (..., order, order, 3) grid, so every form agrees to
-    the bit; numpy's own reduction over a leading axis would sum a single
-    game pairwise.  ``width`` is passed in rather than inferred, so an
-    input of no games still reshapes.
+    the bit: ``np.add.reduce`` over the leading axis does so at any width
+    but one, where numpy would sum pairwise, so a single game takes a loop.
     """
-    first, *rest = terms.reshape(order * order, width)
-    np.copyto(out, first)
-    for row in rest:
+    rows = terms.reshape(order * order, width)
+    if width != 1:
+        return np.add.reduce(rows, axis=0, out=out)
+    np.copyto(out, rows[0])
+    for row in rows[1:]:
         np.add(out, row, out=out)
     return out
 
@@ -127,8 +129,8 @@ def predictive_probability_array(
 
     Integrates the outcome model over both players' independent normal
     beliefs using an order^2 tensor grid; broadcasts over leading axes.
-    The broadcast games are integrated in ``engine.chunks`` of ``order**2``
-    node pairs each, in one workspace, so memory stays bounded at any size and order.
+    The broadcast games are integrated in ``engine.chunks`` of their
+    (5, order, order) grid cells, in one workspace, so memory stays bounded.
     """
     beliefs = np.broadcast_arrays(*(
         np.asarray(x, dtype=float) for x in (white_mu, white_sigma, black_mu, black_sigma)
@@ -137,7 +139,7 @@ def predictive_probability_array(
     beliefs = [b.reshape(n) for b in beliefs]
     out = np.empty((n, 3))
     work = engine.Workspace()
-    for part in engine.chunks(n, order * order):
+    for part in engine.chunks(n, 5 * order * order):
         _, logits, log_total, w2 = _node_grid(*(b[part] for b in beliefs), h, order, work)
         logits -= log_total
         np.exp(logits, out=logits)
@@ -156,22 +158,23 @@ def _observed_probability(
     The scoring form of ``predictive_probability_array``: only the observed
     outcome's shifted logit, picked by the outcome index ``observed`` (0 win,
     1 draw, 2 loss, from White's side), is normalised and exponentiated, in
-    ``engine.chunks`` of ``order**2`` node pairs per game.  The temporaries
-    are written in ``work`` (a new workspace if not given), and so is the
-    result.
+    ``engine.chunks`` of the (5, order, order) grid cells per game.  The
+    temporaries are written in ``work`` (a new workspace if not given), and
+    so is the result.
     """
     if work is None:
         work = engine.Workspace()
     p = work.block("terms", (len(observed),))
-    for part in engine.chunks(len(observed), order * order):
+    for part in engine.chunks(len(observed), 5 * order * order):
         width = part.stop - part.start
         beliefs = (x[part] for x in (white_mu, white_sigma, black_mu, black_sigma))
         grid, logits, log_total, w2 = _node_grid(*beliefs, h, order, work)
-        # grid rows 3 and 4: the observed terms and the take index
+        # grid row 4: the take index, then the observed terms over it; take
+        # reads each index before it writes that element
         index = model.observed_index(observed[part], work.positions((order, order, width)),
                                      grid[4].view(np.intp))
         # the indices are in range by construction: "wrap" writes straight to out
-        terms = logits.take(index, out=grid[3], mode="wrap")
+        terms = logits.take(index, out=grid[4], mode="wrap")
         terms -= log_total
         np.exp(terms, out=terms)
         terms *= w2

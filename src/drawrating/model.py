@@ -75,29 +75,30 @@ def shifted_logit_columns(theta_i, theta_j, color, h: Hyperparameters, out=None)
 
     A closed-form three-way log-sum-exp: the largest logit is subtracted
     before exponentiating, so extreme strengths stay finite, and the three
-    exponentials (one ``np.exp`` over the block) are added in the order
-    numpy's length-3 ``sum`` uses.
+    exponentials, one row at a time, are added in the order numpy's length-3
+    ``sum`` uses, ``(e0 + e1) + e2``.
     Without a white advantage (``alpha0 == alpha1 == 0``) ``color`` is not
     read; skipping its zero terms changes no value at a finite average strength.
     Overflowing inputs give NaN or infinite columns, without a warning.
-    Every temporary is written in ``out``, a (7, *shape) float64 block over
+    Every temporary is written in ``out``, a (5, *shape) float64 block over
     the broadcast shape of the result, allocated if not given: rows 0-2
-    receive the logits, row 6 the log total, and rows 3-5 are scratch.
+    receive the logits, row 3 the log total, and row 4 is scratch.  The
+    strengths may be given in rows 0 and 2, so that no operand broadcasts.
     """
     advantage = h.alpha0 or h.alpha1
     if out is None:
         shape = np.broadcast_shapes(np.shape(theta_i), np.shape(theta_j),
                                     np.shape(color) if advantage else ())
-        out = np.empty((7, *shape))
+        out = np.empty((5, *shape))
     # rows are indexed with ..., so that 0-d rows stay arrays
-    logits, scratch, log_total = out[:3], out[3:6], out[6, ...]
+    logits, log_total, scratch = out[:3], out[3, ...], out[4, ...]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        avg = np.add(theta_i, theta_j, out=scratch[0, ...])
+        avg = np.add(theta_i, theta_j, out=log_total)
         np.multiply(0.5, avg, out=avg)
         win, loss = theta_i, theta_j
         if advantage:
             # color * (alpha0 + alpha1 * avg) / 4
-            shift = np.multiply(h.alpha1, avg, out=scratch[1, ...])
+            shift = np.multiply(h.alpha1, avg, out=scratch)
             np.add(h.alpha0, shift, out=shift)
             np.multiply(color, shift, out=shift)
             np.divide(shift, 4.0, out=shift)
@@ -105,15 +106,15 @@ def shifted_logit_columns(theta_i, theta_j, color, h: Hyperparameters, out=None)
             loss = np.subtract(loss, shift, out=logits[2, ...])
         draw = np.multiply(1.0 + h.beta1, avg, out=logits[1, ...])
         np.add(h.beta0, draw, out=draw)
-        top = np.maximum(win, draw, out=scratch[2, ...])
+        top = np.maximum(win, draw, out=scratch)
         np.maximum(top, loss, out=top)
         np.subtract(win, top, out=logits[0, ...])
         np.subtract(draw, top, out=logits[1, ...])
         np.subtract(loss, top, out=logits[2, ...])
-        exp = np.exp(logits, out=scratch)
         # exact zeros are legal probabilities: log(0) is -inf
-        np.add(exp[0], exp[1], out=log_total)
-        np.add(log_total, exp[2], out=log_total)
+        np.exp(logits[0, ...], out=log_total)
+        np.add(log_total, np.exp(logits[1, ...], out=scratch), out=log_total)
+        np.add(log_total, np.exp(logits[2, ...], out=scratch), out=log_total)
         np.log(log_total, out=log_total)
     return logits, log_total
 
@@ -224,18 +225,20 @@ def derivative_arrays(p, a, p_c, a_c):
 def selected_derivatives(p_c, a_c, s1, s2, out=None):
     """``derivative_arrays`` from the sums s1 = sum(p a) and s2 = sum(p a^2).
 
-    Written in ``out``, a (3, *shape) float64 block over the broadcast shape
-    of the inputs, allocated if not given: rows 0 and 1 receive the two
-    derivatives, which are returned, and row 2 is scratch.
+    Written in ``out``, three float64 arrays (first, second, scratch) of the
+    broadcast shape of the inputs, allocated if not given: the first two
+    receive the derivatives, which are returned.  ``second`` may be ``s2``
+    and ``scratch`` may be ``s1``.
     """
     if out is None:
-        out = np.empty((3, *np.broadcast_shapes(*map(np.shape, (p_c, a_c, s1, s2)))))
-    first, second, scratch = out[0, ...], out[1, ...], out[2, ...]
+        shape = np.broadcast_shapes(*map(np.shape, (p_c, a_c, s1, s2)))
+        out = [np.empty(shape) for _ in range(3)]
+    first, second, scratch = out
     # p_c * (a_c - s1) and p_c * (a_c * a_c - s2 - 2.0 * s1 * residual), one
-    # operation at a time in the order Python evaluates them
+    # operation at a time as Python evaluates them; s2 and s1 are read before
+    # second and scratch are written
+    np.subtract(np.multiply(a_c, a_c, out=first), s2, out=second)
     residual = np.subtract(a_c, s1, out=first)
-    np.multiply(a_c, a_c, out=second)
-    np.subtract(second, s2, out=second)
     np.multiply(2.0, s1, out=scratch)
     np.multiply(scratch, residual, out=scratch)
     np.subtract(second, scratch, out=second)

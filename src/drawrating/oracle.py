@@ -69,20 +69,20 @@ def posterior_moments(focal_mu, focal_sigma, opp_mu, opp_sigma, outcome, color,
     Each game's (order, order) tensor grid, focal player on the first axis,
     is kept in log space so extreme nodes cannot overflow.  A game whose
     realized outcome has zero probability at every node pair gets a NaN
-    mean.  Games run in ``engine.chunks`` of ``order**2`` node pairs each,
-    with their temporaries in the blocks of one workspace.
+    mean.  Games run in ``engine.chunks`` of the (5, order, order) grid
+    cells each takes, with their temporaries in the blocks of one workspace.
     """
     rule = gh_rule(order)
     logw = np.log(rule.weights)
     log_w2 = logw[:, None] + logw[None, :]
     mean, second = np.empty(len(focal_mu)), np.empty(len(focal_mu))
     work = engine.Workspace()
-    for part in engine.chunks(len(focal_mu), order * order):
+    for part in engine.chunks(len(focal_mu), 5 * order * order):
         width = part.stop - part.start
         shape = (width, order, order)
-        # rows of the grid: 0-6 the log-probability block; then 3 the take
-        # index, 4 the observed log terms and 5 their exponentials
-        grid = work.block("grid", (7, *shape))
+        # rows of the grid: 0-4 the log-probability block; then 4 the
+        # observed log terms, then their exponentials
+        grid = work.block("grid", (5, *shape))
         theta_i, theta_j, weights, product = work.block("nodes", (4, width, order))
         shift, total = work.block("games", (2, width))
         # mu + (sqrt(2) sigma) node, for the focal player and the opponent
@@ -90,17 +90,22 @@ def posterior_moments(focal_mu, focal_sigma, opp_mu, opp_sigma, outcome, color,
             np.multiply(math.sqrt(2.0), sigma[part, None], out=theta)
             np.multiply(theta, rule.nodes, out=theta)
             np.add(mu[part, None], theta, out=theta)
-        columns = model.log_probability_columns(
-            theta_i[:, :, None], theta_j[:, None, :], color[part, None, None], h, grid
-        )
-        index = model.observed_index(outcome[part, None, None], work.positions(shape),
-                                     grid[3].view(np.intp))
+        # the strengths are copied across the grid into rows 0 and 2, where the
+        # kernel reads them, which takes no broadcast buffer as a ufunc would
+        np.copyto(grid[0], theta_i[:, :, None])
+        np.copyto(grid[2], theta_j[:, None, :])
+        columns = model.log_probability_columns(grid[0], grid[2], color[part, None, None], h, grid)
+        # each game's observed (order, order) grid is one row of the stacked
+        # (3 * width, order**2) block, so the index has one entry per game
+        index = model.observed_index(outcome[part], work.positions((width,)))
         # the indices are in range by construction: "wrap" writes straight to out
-        log_terms = columns.take(index, out=grid[4], mode="wrap")
+        log_terms = columns.reshape(3 * width, order * order).take(
+            index, axis=0, out=grid[4].reshape(width, order * order), mode="wrap"
+        ).reshape(shape)
         np.add(log_w2, log_terms, out=log_terms)
         log_terms.max(axis=(1, 2), out=shift)
         with np.errstate(invalid="ignore"):  # a non-finite shift gives NaN moments
-            terms = np.subtract(log_terms, shift[:, None, None], out=grid[5])
+            terms = np.subtract(log_terms, shift[:, None, None], out=log_terms)
             np.exp(terms, out=terms)
             terms.sum(axis=2, out=weights)
             weights.sum(axis=1, out=total)
@@ -247,7 +252,7 @@ def compare_updates(
     d1, d2, p_obs = np.empty((3, len(games)))
     work = engine.Workspace()
     # each game's terms are computed alone, as in engine.filter_period
-    for part in engine.chunks(len(games), 2):
+    for part in engine.chunks(len(games), 10):
         d1[part], d2[part], p_obs[part] = engine._delta_arrays(
             focal_mu[part], opp_mu[part], opp_sigma[part], observed[part], color[part], h,
             cfg.draw_score_override, work,

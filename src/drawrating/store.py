@@ -17,7 +17,7 @@ import tempfile
 from dataclasses import dataclass
 
 from . import model
-from .engine import EngineConfig, PlayerBelief
+from .engine import EngineConfig, PlayerBelief, finite_precision
 from .model import Hyperparameters
 
 SNAPSHOT_MAGIC = "drawrating-snapshot"
@@ -250,8 +250,13 @@ def load_snapshot(stream) -> RatingSnapshot:
             raise SnapshotFormatError(f"player {pid!r} has invalid games count {games}")
         if not math.isfinite(mu):
             raise SnapshotFormatError(f"player {pid!r} has invalid mu {mu}")
-        if not (math.isfinite(sigma) and sigma > 0):
-            raise SnapshotFormatError(f"player {pid!r} has invalid sigma {sigma}")
+        # a sigma of 1e-150 or more has sigma**-2 <= 1e300, so only a smaller
+        # one pays for the exact check; the five header lines precede the rows
+        if not (math.isfinite(sigma) and sigma > 0) or (
+                sigma < 1e-150 and not finite_precision(sigma)):
+            raise SnapshotFormatError(f"snapshot line {5 + reader.line_num}: player {pid!r} has "
+                                      f"invalid sigma {sigma!r}, not positive with a finite "
+                                      f"sigma**-2")
         seen.add(pid)
         entries.append((pid, mu, sigma, games))
     if len(entries) != count:

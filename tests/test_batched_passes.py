@@ -130,7 +130,8 @@ def _one_game_chunks(order):
 
 
 def _two_game_chunks(order):
-    return 2 * order * order
+    """Two games of the five-row grid block at ``order``."""
+    return 2 * 5 * order * order
 
 
 @pytest.mark.parametrize("chunk", [_one_game_chunks, _two_game_chunks])

@@ -762,8 +762,8 @@ class TestExtremeFloatFlags:
     design: ``p_win_decisive`` is NaN (0/0) where a draw is certain, and the
     trace scores a degenerate candidate -inf.  ``optimize`` writes its table
     (``converged,0``) and trace also when no start improves, and exits 1.
-    Values go as ``--flag=value``: argparse reads a separate ``-1e308`` or
-    ``-inf`` as an option."""
+    Values go as ``--flag=value``; ``TestSeparateFloatValues`` covers a
+    separate value token."""
 
     COMMANDS = {
         "rate": (_HYPERPARAMETER_FLOATS + _CONFIG_FLOATS,
@@ -790,6 +790,11 @@ class TestExtremeFloatFlags:
                                   _EDGE_FLOATS))
     # no start of optimize improves: it exited 1 with nothing on stderr
     @example(floats={"--default-prior-elo": 1e308})
+    # a prior sd whose latent precision sigma**-2 overflows: numpy's overflow
+    # warning, then a non-positive precision [inf, inf] at exit 2
+    @example(floats={"--alpha0": 1e308, "--alpha1": 1e308,
+                     "--default-prior-sd-elo": 2.4045616485350484e-161})
+    @example(floats={"--default-prior-sd-elo": 5.501846484000506e-181})
     @settings(max_examples=25, deadline=None)
     def test_ends_in_finite_outputs_or_one_error(self, flag_inputs, command, floats):
         names, argv = self.COMMANDS[command]
@@ -844,6 +849,49 @@ class TestExtremeFloatFlags:
                 assert code != cli.EXIT_OK or math.isfinite(float(table["objective"]))
                 assert all(_finite(row[:6]) and float(row[6]) < math.inf
                            for row in _rows(path("trace.csv")))
+
+
+class TestSeparateFloatValues:
+    """A float flag takes its value as the next token, also where argparse
+    would read that token as an option (``-1e308``, ``-inf``)."""
+
+    REQUIRED = {
+        "rate": ["--games", "g.csv", "--out-snapshot", "s"],
+        "predict": ["--snapshot", "s", "--fixtures", "f.csv"],
+        "optimize": ["--games", "g.csv", "--train-until", "1"],
+        "validate": [],
+        "simulate": ["--players", "2", "--periods", "1", "--games-per-period", "1",
+                     "--out-games", "g.csv"],
+    }
+    FLOATS = {
+        "rate": _HYPERPARAMETER_FLOATS + _CONFIG_FLOATS,
+        "predict": _HYPERPARAMETER_FLOATS + _CONFIG_FLOATS,
+        "optimize": _CONFIG_FLOATS,
+        "validate": _HYPERPARAMETER_FLOATS + _CONFIG_FLOATS,
+        "simulate": _HYPERPARAMETER_FLOATS + ("--initial-mean", "--initial-sd"),
+    }
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flags in FLOATS.items() for flag in flags])
+    @pytest.mark.parametrize("value", ["-1e308", "-inf", "-nan", "-1e-3", "-2.5"])
+    def test_every_float_flag_of_every_command(self, monkeypatch, command, flag, value):
+        parsed = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: parsed.append(args) or 0)
+        assert cli.main([command, flag, value, *self.REQUIRED[command]]) == cli.EXIT_OK
+        got = getattr(parsed[0], flag[2:].replace("-", "_"))
+        assert repr(got) == repr(float(value))
+
+    @pytest.mark.parametrize("argv,error", [
+        (["simulate", "--tau", "-"], "argument --tau: invalid float value: '-'"),
+        (["simulate", "--tau", "--alpha0", "1"], "argument --tau: expected one argument"),
+        (["validate", "--", "-1e308"], "unrecognized arguments: -- -1e308"),
+    ])
+    def test_a_token_that_is_no_float_value_is_left_alone(self, capsys, argv, error):
+        """``-`` and ``--alpha0`` do not read as numbers, and ``--`` ends the options."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert error in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -71,6 +71,19 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match=field):
             EngineConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["default_prior_sd_elo", "rated_prior_sd_elo"])
+    @pytest.mark.parametrize("value", [5e-324, 5.501846484000506e-181, 1.2956e-152])
+    def test_a_prior_sd_whose_precision_overflows_is_refused(self, field, value):
+        """Its latent sd is 0.0 or so small that ``_newton_step``'s sigma**-2
+        overflows; the error names the setting, not a player."""
+        with pytest.raises(ValueError, match=rf"^{field} {value!r} is too small"):
+            EngineConfig(**{field: value})
+
+    def test_the_smallest_prior_sds_with_a_finite_precision_are_kept(self):
+        sd = 1.3e-152
+        cfg = EngineConfig(default_prior_sd_elo=sd, rated_prior_sd_elo=sd)
+        assert math.isfinite(cfg.default_belief("a").sigma ** -2)
+
 
 class TestGameTerm:
     # Frozen from the independent implementation:

@@ -669,19 +669,20 @@ class TestChunkedPasses:
     @pytest.mark.parametrize("h,bound,counts", [
         # one directed term and one scored game per chunk
         (H2, 1, {5000, 2500}),
-        # 31 terms and 7 games per chunk, each pass with a last partial chunk
-        (H2, 63, {162, 358}),
-        (GUARD_POINTS[2], 63, {162, 358}),
+        # 31 terms (ten cells each) and 7 games (45 cells each) per chunk,
+        # each pass with a last partial chunk
+        (H2, 315, {162, 358}),
+        (GUARD_POINTS[2], 315, {162, 358}),
         # every pass in one chunk
         (GUARD_POINTS[2], 1 << 30, {1}),
     ])
     def test_fit_is_independent_of_the_chunk_size(self, chunk_bound, h, bound, counts):
         """Periods of 2 500 games; at the default bound a period's 5 000
-        terms take two chunks and its 2 500 scored games three."""
+        terms take one chunk and its 2 500 scored games two."""
         history = _chunked_league(200, 3, 2500)
         default = chunk_bound(engine.GRID_CHUNK)
         want, want_states = _replay(history, h, 1)
-        assert set(default) == {2, 3}
+        assert set(default) == {1, 2}
         chunks = chunk_bound(bound)
         got, got_states = _replay(history, h, 1)
         assert got == want

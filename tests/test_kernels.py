@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drawrating import engine, hyperopt, model, oracle, simulate, store
 from drawrating.model import Hyperparameters
@@ -607,9 +609,77 @@ class TestPredictiveProbability:
         per chunk, gives the one-block result byte for byte."""
         grid = (EXTREMES[:, None], 0.5, EXTREMES[None, :], np.array([[0.2], [0.9]])[:, :, None])
         whole = hyperopt.predictive_probability_array(*grid, h, order)
-        counts = chunk_bound(7 * order * order)
+        counts = chunk_bound(7 * 5 * order * order)
         got = hyperopt.predictive_probability_array(*grid, h, order)
         assert got.shape == whole.shape == (2, 9, 9, 3)
         assert got.tobytes() == whole.tobytes()
         assert np.array_equal(got, ref_predictive_probability_array(*grid, h, order))
         assert counts == [math.ceil(162 / 7)]
+
+
+def _row_loop(rows):
+    """The node pairs of (pairs, width) ``rows`` added one row at a time."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        np.add(total, row, out=total)
+    return total
+
+
+class TestPairSum:
+    @pytest.mark.parametrize("order", [1, 2, 3, 9])
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 9, 64, 1638, 4000])
+    def test_the_leading_axis_reduction_is_the_row_loop(self, order, width):
+        """Weighted terms spread over many magnitudes, so that a change of the
+        summation order would show in the last bits."""
+        rng = np.random.default_rng(order * 10_000 + width)
+        terms = np.exp(rng.uniform(-40.0, 0.0, (order, order, width)))
+        rows = terms.reshape(order * order, width)
+        want = _row_loop(rows)
+        got = hyperopt._pair_sum(terms, order, width, np.empty(width))
+        assert got.tobytes() == want.tobytes()
+        if width >= 2:
+            assert np.add.reduce(rows, axis=0).tobytes() == want.tobytes()
+
+    def test_one_game_is_not_summed_pairwise(self):
+        """numpy sums the 81 pairs of a single order-9 game pairwise, which
+        differs from the row loop; ``_pair_sum`` keeps the loop there."""
+        rng = np.random.default_rng(9)
+        terms = np.exp(rng.uniform(-40.0, 0.0, (20, 9, 9, 1)))
+        got = [hyperopt._pair_sum(t, 9, 1, np.empty(1)) for t in terms]
+        want = [_row_loop(t.reshape(81, 1)) for t in terms]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        pairwise = [np.add.reduce(t.reshape(81, 1), axis=0) for t in terms]
+        assert [p.tobytes() for p in pairwise] != [w.tobytes() for w in want]
+
+
+_NON_ZERO = st.floats(-1.0, 1.0).filter(bool)
+
+
+class TestFiveRowPasses:
+    """The scoring and predictive passes on the five-row grid block against
+    the stacked (..., order, order, 3) references, bit for bit: one game, a
+    chunk boundary and one game either side of it, or a few thousand games;
+    strengths up to +/-700 and a white advantage with a slope."""
+
+    @given(order=st.integers(1, 9),
+           width=st.sampled_from(["one", "below", "at", "above"]) | st.integers(2000, 4000),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 30.0, 700.0]),
+           alpha=st.tuples(_NON_ZERO, _NON_ZERO),
+           beta=st.tuples(st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)))
+    @example(order=9, width="one", seed=1, scale=1.0, alpha=(0.3, 0.2), beta=(1.0, 0.2))
+    @example(order=3, width="above", seed=2, scale=700.0, alpha=(-0.5, 0.9), beta=(0.5, -0.4))
+    @settings(max_examples=40, deadline=None)
+    def test_match_the_stacked_references(self, order, width, seed, scale, alpha, beta):
+        step = engine.GRID_CHUNK // (5 * order * order)
+        width = {"one": 1, "below": step - 1, "at": step, "above": step + 1}.get(width, width)
+        width = _game_count(width, order)
+        rng = np.random.default_rng(seed)
+        mu = rng.uniform(-scale, scale, (2, width))
+        mu.flat[rng.integers(0, mu.size, 4)] = rng.choice([700.0, -700.0], 4)
+        beliefs = mu[0], rng.uniform(0.01, 3.0, width), mu[1], rng.uniform(0.01, 3.0, width)
+        observed = rng.integers(0, 3, width)
+        h = Hyperparameters(*alpha, *beta, 0.1)
+        assert_identical(hyperopt.predictive_probability_array(*beliefs, h, order),
+                         ref_predictive_probability_array(*beliefs, h, order))
+        assert_identical(hyperopt._observed_probability(*beliefs, observed, h, order),
+                         ref_observed_probability(*beliefs, observed, h, order))

@@ -226,12 +226,15 @@ class TestDelimitedLines:
 def snapshots(draw):
     pids = draw(st.lists(ids, unique=True, max_size=12))
     positive = st.floats(min_value=5e-324, allow_infinity=False)
-    entries = [(pid, draw(finite), draw(positive), draw(st.integers(0, 10**6)))
+    # the smallest sigma, and prior sd in Elo, whose precision sigma**-2 is finite
+    sigmas = st.floats(min_value=7.458340731200208e-155, allow_infinity=False)
+    prior_sds = st.floats(min_value=1.3e-152, allow_infinity=False)
+    entries = [(pid, draw(finite), draw(sigmas), draw(st.integers(0, 10**6)))
                for pid in pids]
     h = Hyperparameters(*draw(st.tuples(finite, finite, finite, finite,
                                         st.floats(0.0, 1e300))))
-    cfg = EngineConfig(draw(positive), draw(st.booleans()), draw(finite), draw(positive),
-                       draw(positive))
+    cfg = EngineConfig(draw(positive), draw(st.booleans()), draw(finite), draw(prior_sds),
+                       draw(prior_sds))
     return RatingSnapshot(draw(st.integers(1, 10**6)), entries, h, cfg)
 
 
@@ -294,6 +297,24 @@ class TestSnapshotValidation:
             ls[5] = ",".join(parts)
         with pytest.raises(SnapshotFormatError, match="sigma"):
             store.load_snapshot(self._corrupt(mutate))
+
+    @pytest.mark.parametrize("sigma", ["1e-200", "5e-324", "7.458340731200207e-155"])
+    def test_a_sigma_whose_precision_overflows_names_its_line(self, sigma):
+        """The Newton step takes sigma**-2, which overflows below about 7.46e-155."""
+        def mutate(ls):
+            parts = ls[6].split(",")
+            parts[2] = sigma
+            ls[6] = ",".join(parts)
+        with pytest.raises(SnapshotFormatError,
+                           match=rf"^snapshot line 7: player 'bert' has invalid sigma {sigma}, "):
+            store.load_snapshot(self._corrupt(mutate))
+
+    def test_the_smallest_sigma_with_a_finite_precision_is_read(self):
+        def mutate(ls):
+            parts = ls[6].split(",")
+            parts[2] = "7.458340731200208e-155"
+            ls[6] = ",".join(parts)
+        assert store.load_snapshot(self._corrupt(mutate)).entries[1][2] == 7.458340731200208e-155
 
     @pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
     def test_non_finite_mu(self, mu):
