@@ -180,7 +180,7 @@ def cmd_predict(args) -> int:
         return k
 
     fixtures, rows = [], []
-    with open(args.fixtures, newline="", encoding="utf-8") as fh:
+    with open(args.fixtures, newline="", encoding=store.INPUT_ENCODING) as fh:
         for line_no, fields in enumerate(csv.reader(fh), start=1):
             if not fields or (line_no == 1 and fields[0].strip().lower() == "white"):
                 continue
@@ -400,6 +400,9 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     except (ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

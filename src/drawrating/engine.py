@@ -47,8 +47,12 @@ class Workspace:
     buffer, which grows to the largest block asked for.  Blocks of one name
     share memory: a pass holds one block of each name at a time, and passes
     that run one after the other (the scoring and the filter of a period)
-    use the same names, so that their blocks share memory too: each pass's
-    ``"grid"`` block is the five-row block of ``model.shifted_logit_columns``.
+    use the same names, so that their blocks share memory too.  The names:
+    ``"grid"``, each pass's five-row block of ``model.shifted_logit_columns``;
+    ``"table"``, the pass's node strengths of every player
+    (``node_strengths``), which its grid rows gather; ``"terms"``, the
+    pass's results over the whole period; and ``"beliefs"``, the focal
+    strengths of the filter's chunk.
     ``positions(shape)`` is ``np.arange`` in that shape, the positions of a
     take index (``model.observed_index``), as a view of one kept ramp.
     A workspace serves one pass at a time, so one thread.
@@ -192,41 +196,56 @@ class PeriodResult:
     rejected: list = field(default_factory=list)
 
 
+#: the opponent nodes mu - sigma and mu + sigma of the game terms
 _NODE_SIGNS = np.array([[-1.0], [1.0]])
 
 
-def _delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_override,
-                  work=None):
-    """Vectorized game-term computation over inputs that broadcast to 1-D.
+def node_strengths(mu, sigma, nodes, out, scale=None):
+    """Strengths ``mu + (scale * sigma) * node`` at each of the quadrature
+    ``nodes``, or ``mu + sigma * node`` without a ``scale``, written in
+    ``out`` of the broadcast shape: per player for a table of every player
+    (``nodes`` a column), or per game for columns of games."""
+    width = sigma if scale is None else np.multiply(scale, sigma, out=out)
+    np.multiply(width, nodes, out=out)
+    return np.add(mu, out, out=out)
 
+
+def _term_index(outcome) -> np.ndarray:
+    """The (2, n) flat take index of n directed terms' outcome indices
+    ``outcome`` into their (3, 2, n) probability block (``model.observed_index``)."""
+    positions = np.arange(2 * len(outcome)).reshape(2, -1)
+    return model.observed_index(outcome, positions, out=positions)
+
+
+def _delta_arrays(focal_mu, nodes, outcome, index, color, h, draw_score_override, work=None):
+    """Vectorized game-term computation over n directed terms, from 1-D columns.
+
+    ``nodes`` holds the opponent nodes mu_j - sigma_j and mu_j + sigma_j as
+    the rows of one (2, n) block (``node_strengths`` at ``_NODE_SIGNS``).
     ``outcome`` is the observed outcome's index from the focal player's side
-    (0 win, 1 draw, 2 loss).  The outcome model is evaluated at opponent
-    nodes mu_j - sigma_j and mu_j + sigma_j, the rows of one (2, n) block,
-    with the focal strength fixed at its prior mean.  The equal 1/2 node
-    weights cancel between numerator and denominator of the delta terms;
-    p_observed keeps the uncancelled two-node sum.
-    Given a ``Workspace``, the inputs are 1-D and every temporary is written
-    in its block ``"grid"``; the results are then views of that block.
+    (0 win, 1 draw, 2 loss), and ``index`` its flat take index into the
+    (3, 2, n) probability block (``_term_index``).  The outcome model is
+    evaluated at both nodes with the focal strength fixed at its prior mean.
+    The equal 1/2 node weights cancel between numerator and denominator of
+    the delta terms; p_observed keeps the uncancelled two-node sum.
+    Every temporary is written in the block ``"grid"`` of ``work`` (a new
+    workspace if not given), whose row 2 may hold ``nodes``; the results are
+    views of that block.
     """
     if work is None:
-        focal_mu, opp_mu, opp_sigma, outcome, color = np.broadcast_arrays(
-            *map(np.atleast_1d, (focal_mu, opp_mu, opp_sigma, outcome, color)))
         work = Workspace()
     n = len(outcome)
-    # (2, n) rows: the kernel's block, with the opponent nodes in row 2; then
-    # 0-2 p, 3 p_y, 4 the take index; with alpha1 == 0, 2 s2, 1 s1 and the
-    # first half of 0 a_y; then 4 d1, 2 d2 and 1 scratch; last, rows 0-1 the
-    # node sums and the deltas
+    # (2, n) rows: the kernel's block, with the opponent nodes possibly in
+    # row 2; then 0-2 p, 3 p_y; with alpha1 == 0, 2 s2, 1 s1 and the first
+    # half of 0 a_y; then 4 d1, 2 d2 and 1 scratch; last, rows 0-1 the node
+    # sums and the deltas
     block = work.block("grid", (5, 2, n))
     # a huge draw coefficient overflows and p_obs can underflow to exactly 0;
     # the resulting NaNs are caught by the precision check downstream
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        nodes = np.multiply(_NODE_SIGNS, opp_sigma, out=block[2])
-        np.add(opp_mu, nodes, out=nodes)
         p, log_total = model.shifted_logit_columns(focal_mu, nodes, color, h, block)
         p -= log_total
         np.exp(p, out=p)
-        index = model.observed_index(outcome, work.positions((2, n)), block[4].view(np.intp))
         # the indices are in range by construction: "wrap" writes straight to out
         p_y = p.take(index, out=block[3], mode="wrap")
         if h.alpha1:
@@ -265,11 +284,14 @@ def game_term(
     cfg: EngineConfig,
 ) -> GameTerm:
     """Derivative contributions of one game, evaluated at the focal prior mean."""
-    observed = model.outcome_index(outcome)
+    observed = np.array([model.outcome_index(outcome)])
     if opponent.sigma <= 0 or focal.sigma <= 0:
         raise ValueError("beliefs need positive sigma")
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the kernel
+        nodes = node_strengths(opponent.mu, opponent.sigma, _NODE_SIGNS, np.empty((2, 1)))
     d1, d2, p = _delta_arrays(
-        focal.mu, opponent.mu, opponent.sigma, observed, color, h, cfg.draw_score_override,
+        np.array([focal.mu]), nodes, observed, _term_index(observed),
+        np.array([color], dtype=float), h, cfg.draw_score_override,
     )
     if not (p[0] > 0):
         raise DegenerateUpdateError(
@@ -348,7 +370,10 @@ class CompiledPeriod:
     focal player's side) and ``color``, two per game, are sorted by (focal,
     opp, outcome score, color), the index descending, so every sum over
     them runs in a fixed order whatever the input order.  ``players`` holds the focal players in
-    ascending order, and ``games`` the number of games of each.
+    ascending order, and ``games`` the number of games of each.  ``index``
+    holds the terms' take index (``_term_index``) of each slice
+    ``chunks(len(focal), 10)`` that the filter passes in turn, so it is
+    compiled under the ``GRID_CHUNK`` of those passes.
     """
 
     white: np.ndarray
@@ -360,6 +385,7 @@ class CompiledPeriod:
     color: np.ndarray
     players: np.ndarray
     games: np.ndarray
+    index: tuple
 
 
 @dataclass(frozen=True)
@@ -394,11 +420,13 @@ def _compile_period(games: list, index: dict) -> CompiledPeriod:
     color = np.repeat([1.0, -1.0], len(games))
     # ascending outcome value (loss, draw, win) is descending index
     order = np.lexsort((color, -outcome, opp, focal))
+    outcome = outcome[order]
     counts = np.bincount(focal)
     players = np.flatnonzero(counts)
     return CompiledPeriod(
-        white, black, observed, focal[order], opp[order], outcome[order], color[order],
+        white, black, observed, focal[order], opp[order], outcome, color[order],
         players, counts[players],
+        tuple(_term_index(outcome[part]) for part in chunks(len(outcome), 10)),
     )
 
 
@@ -455,7 +483,8 @@ def filter_period(period: CompiledPeriod, ids, mu, sigma, tracked, h: Hyperparam
     """Fold one compiled period into the belief arrays, in place.
 
     Every directed term is computed against the prior arrays, in ``chunks``
-    of two opponent nodes per term, with its temporaries in ``work`` (a new
+    of two opponent nodes per term, which each chunk gathers from one table
+    of every player's nodes, with its temporaries in ``work`` (a new
     workspace if not given); each player with a game takes one Newton step;
     then every tracked player below the cap is advanced in time
     (``advance_time``, vectorized bit for bit).
@@ -469,19 +498,22 @@ def filter_period(period: CompiledPeriod, ids, mu, sigma, tracked, h: Hyperparam
     if players.size:
         tracked[players] = True
         d1, d2 = work.block("terms", (2, period.focal.size))
+        # every player's nodes; as in the kernel, an overflow warns of nothing,
+        # so a player without a game here raises no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = node_strengths(mu, sigma, _NODE_SIGNS, work.block("table", (2, len(mu))))
         # each term (five rows of two nodes) is computed alone, so the
-        # chunking leaves every bit as it is
-        for part in chunks(period.focal.size, 10):
+        # chunking leaves every bit as it is; an index compiled for other
+        # chunks fails the zip or the kernel's take
+        for part, index in zip(chunks(period.focal.size, 10), period.index, strict=True):
             n = part.stop - part.start
-            beliefs = work.block("beliefs", (3, n))
-            focal, opp = period.focal[part], period.opp[part]
             # player indices are in range by construction: "wrap" writes straight to out
-            mu.take(focal, out=beliefs[0], mode="wrap")
-            mu.take(opp, out=beliefs[1], mode="wrap")
-            sigma.take(opp, out=beliefs[2], mode="wrap")
+            focal = mu.take(period.focal[part], out=work.block("beliefs", (n,)), mode="wrap")
+            nodes = table.take(period.opp[part], axis=1, out=work.block("grid", (5, 2, n))[2],
+                               mode="wrap")
             d1[part], d2[part], _ = _delta_arrays(
-                *beliefs, period.outcome[part], period.color[part], h, cfg.draw_score_override,
-                work=work,
+                focal, nodes, period.outcome[part], index, period.color[part], h,
+                cfg.draw_score_override, work,
             )
         mu[players], sigma[players] = _newton_step(
             map(ids.__getitem__, players), mu[players], sigma[players],

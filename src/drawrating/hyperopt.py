@@ -70,39 +70,41 @@ class TraceRecorder:
 
 @functools.cache
 def _node_columns(order: int):
-    """White's and Black's node columns, (order, 1, 1) and (1, order, 1), and
-    the node-pair weights of the normalised rule, (order, order, 1)."""
+    """The rule's nodes as an (order, 1) column, and the node-pair weights of
+    the normalised rule, (order, order, 1)."""
     rule = oracle.gh_rule(order)
     nodes, weights = rule.nodes, rule.weights / math.sqrt(math.pi)
     w2 = weights[:, None, None] * weights[None, :, None]
     w2.flags.writeable = False
-    return nodes[:, None, None], nodes[None, :, None], w2
+    return nodes[:, None], w2
 
 
-def _node_grid(white_mu, white_sigma, black_mu, black_sigma, h: Hyperparameters, order: int,
-               work: engine.Workspace):
+def _node_rows(order: int, width: int, work: engine.Workspace) -> np.ndarray:
+    """A (2, order, width) view for White's and Black's node strengths of
+    ``width`` games, in rows 3-4 of the (5, order, order, width) block
+    ``"grid"`` of ``work``, which ``_node_grid`` reads before it writes them."""
+    grid = work.block("grid", (5, order, order, width))
+    return grid[3:].reshape(-1)[:2 * order * width].reshape(2, order, width)
+
+
+def _node_grid(nodes: np.ndarray, h: Hyperparameters, work: engine.Workspace):
     """``model.shifted_logit_columns`` of n games on the quadrature grid, the
     node pairs leading, (order, order, n): (grid, logits, log total, weights).
 
-    ``grid`` is the kernel's (5, order, order, n) block ``"grid"`` of
-    ``work``, with White's and Black's node strengths written full-width into
-    rows 0 and 2, so that no operand of the kernel broadcasts; row 4 is free
-    once the logits are formed.  The weights are the pairs' (order, order, 1).
+    ``nodes`` holds White's and Black's node strengths, (2, order, n), as
+    ``_node_rows`` places them.  ``grid`` is the kernel's (5, order, order,
+    n) block ``"grid"`` of ``work``, with White's strengths copied across
+    Black's nodes into row 0 and Black's across White's into row 2, which
+    takes no broadcast buffer as a ufunc would, so that no operand of the
+    kernel broadcasts; row 4 is free once the logits are formed.  The
+    weights are the pairs' (order, order, 1).
     """
-    white_nodes, black_nodes, w2 = _node_columns(order)
-    width = len(white_mu)
+    order, width = nodes.shape[1:]
     grid = work.block("grid", (5, order, order, width))
-    # mu + (sqrt(2) sigma) node, for White's nodes on the first axis and
-    # Black's on the second: formed once per node in row 4, then copied
-    # across the other axis, which takes no broadcast buffer as a ufunc would
-    for theta, mu, sigma, node in ((grid[0], white_mu, white_sigma, white_nodes),
-                                   (grid[2], black_mu, black_sigma, black_nodes)):
-        nodes = grid[4].reshape(-1)[:order * width].reshape(node.shape[:2] + (width,))
-        np.multiply(math.sqrt(2.0), sigma, out=nodes)
-        np.multiply(nodes, node, out=nodes)
-        np.copyto(theta, np.add(mu, nodes, out=nodes))
+    np.copyto(grid[0], nodes[0, :, None])
+    np.copyto(grid[2], nodes[1, None])
     logits, log_total = model.shifted_logit_columns(grid[0], grid[2], 1.0, h, grid)
-    return grid, logits, log_total, w2
+    return grid, logits, log_total, _node_columns(order)[1]
 
 
 def _pair_sum(terms: np.ndarray, order: int, width: int, out: np.ndarray) -> np.ndarray:
@@ -139,8 +141,13 @@ def predictive_probability_array(
     beliefs = [b.reshape(n) for b in beliefs]
     out = np.empty((n, 3))
     work = engine.Workspace()
+    x, _ = _node_columns(order)
     for part in engine.chunks(n, 5 * order * order):
-        _, logits, log_total, w2 = _node_grid(*(b[part] for b in beliefs), h, order, work)
+        nodes = _node_rows(order, part.stop - part.start, work)
+        # mu + (sqrt(2) sigma) node, for White's nodes and Black's
+        for row, mu, sigma in zip(nodes, beliefs[::2], beliefs[1::2]):
+            engine.node_strengths(mu[part], sigma[part], x, row, math.sqrt(2.0))
+        _, logits, log_total, w2 = _node_grid(nodes, h, work)
         logits -= log_total
         np.exp(logits, out=logits)
         logits *= w2
@@ -150,14 +157,17 @@ def predictive_probability_array(
 
 
 def _observed_probability(
-    white_mu, white_sigma, black_mu, black_sigma, observed, h: Hyperparameters, order: int,
+    table, white, black, observed, h: Hyperparameters, order: int,
     work: engine.Workspace | None = None,
 ) -> np.ndarray:
     """Belief-integrated probability of each game's observed outcome.
 
-    The scoring form of ``predictive_probability_array``: only the observed
-    outcome's shifted logit, picked by the outcome index ``observed`` (0 win,
-    1 draw, 2 loss, from White's side), is normalised and exponentiated, in
+    The scoring form of ``predictive_probability_array``: each chunk
+    gathers its games' node strengths from ``table``, every player's
+    (order, players) mu + (sqrt(2) sigma) node, by the White and Black
+    player indices ``white`` and ``black``.  Only the observed outcome's
+    shifted logit, picked by the outcome index ``observed`` (0 win, 1 draw,
+    2 loss, from White's side), is normalised and exponentiated, in
     ``engine.chunks`` of the (5, order, order) grid cells per game.  The
     temporaries are written in ``work`` (a new workspace if not given), and
     so is the result.
@@ -167,8 +177,11 @@ def _observed_probability(
     p = work.block("terms", (len(observed),))
     for part in engine.chunks(len(observed), 5 * order * order):
         width = part.stop - part.start
-        beliefs = (x[part] for x in (white_mu, white_sigma, black_mu, black_sigma))
-        grid, logits, log_total, w2 = _node_grid(*beliefs, h, order, work)
+        nodes = _node_rows(order, width, work)
+        # player indices are in range by construction: "wrap" writes straight to out
+        table.take(white[part], axis=1, out=nodes[0], mode="wrap")
+        table.take(black[part], axis=1, out=nodes[1], mode="wrap")
+        grid, logits, log_total, w2 = _node_grid(nodes, h, work)
         # grid row 4: the take index, then the observed terms over it; take
         # reads each index before it writes that element
         index = model.observed_index(observed[part], work.positions((order, order, width)),
@@ -225,14 +238,14 @@ def evaluate_hyperparameters(
         if number > train_until:
             loglik = 0.0
             if n:
-                beliefs = work.block("beliefs", (4, n))
-                # player indices are in range by construction: "wrap" writes straight to out
-                for row, (column, players) in zip(beliefs, ((mu, period.white),
-                                                            (sigma, period.white),
-                                                            (mu, period.black),
-                                                            (sigma, period.black))):
-                    column.take(players, out=row, mode="wrap")
-                p = _observed_probability(*beliefs, period.observed, h, order, work)
+                # mu + (sqrt(2) sigma) node of every player, once per period; a
+                # player without a game here warns of no overflow
+                with np.errstate(over="ignore", invalid="ignore"):
+                    table = engine.node_strengths(mu, sigma, _node_columns(order)[0],
+                                                  work.block("table", (order, len(mu))),
+                                                  math.sqrt(2.0))
+                p = _observed_probability(table, period.white, period.black, period.observed,
+                                          h, order, work)
                 with np.errstate(divide="ignore"):  # an underflown outcome scores -inf
                     loglik = float(np.log(p, out=p).sum())
             per_period.append(loglik)

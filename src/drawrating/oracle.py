@@ -87,9 +87,8 @@ def posterior_moments(focal_mu, focal_sigma, opp_mu, opp_sigma, outcome, color,
         shift, total = work.block("games", (2, width))
         # mu + (sqrt(2) sigma) node, for the focal player and the opponent
         for theta, mu, sigma in ((theta_i, focal_mu, focal_sigma), (theta_j, opp_mu, opp_sigma)):
-            np.multiply(math.sqrt(2.0), sigma[part, None], out=theta)
-            np.multiply(theta, rule.nodes, out=theta)
-            np.add(mu[part, None], theta, out=theta)
+            engine.node_strengths(mu[part, None], sigma[part, None], rule.nodes, theta,
+                                  math.sqrt(2.0))
         # the strengths are copied across the grid into rows 0 and 2, where the
         # kernel reads them, which takes no broadcast buffer as a ufunc would
         np.copyto(grid[0], theta_i[:, :, None])
@@ -251,11 +250,16 @@ def compare_updates(
     color = np.array(color, dtype=float)
     d1, d2, p_obs = np.empty((3, len(games)))
     work = engine.Workspace()
-    # each game's terms are computed alone, as in engine.filter_period
+    # each game's terms are computed alone, as in engine.filter_period, with
+    # the opponent nodes in row 2 of the kernel's block, formed as the kernel
+    # forms the rest: an overflow is not warned of
     for part in engine.chunks(len(games), 10):
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = engine.node_strengths(opp_mu[part], opp_sigma[part], engine._NODE_SIGNS,
+                                          work.block("grid", (5, 2, part.stop - part.start))[2])
         d1[part], d2[part], p_obs[part] = engine._delta_arrays(
-            focal_mu[part], opp_mu[part], opp_sigma[part], observed[part], color[part], h,
-            cfg.draw_score_override, work,
+            focal_mu[part], nodes, observed[part], engine._term_index(observed[part]),
+            color[part], h, cfg.draw_score_override, work,
         )
     mean, second = posterior_moments(
         focal_mu, focal_sigma, opp_mu, opp_sigma, observed, color, h, order

@@ -129,13 +129,18 @@ def parse_ratings(stream) -> tuple[list[tuple[str, float]], list[tuple[int, str]
     return ratings, rejects
 
 
+#: the encoding of user-supplied CSV inputs: UTF-8, with a leading
+#: byte-order mark, as some spreadsheet programs write, dropped
+INPUT_ENCODING = "utf-8-sig"
+
+
 def read_ratings(path: str) -> tuple[list[tuple[str, float]], list[tuple[int, str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding=INPUT_ENCODING) as fh:
         return parse_ratings(fh)
 
 
 def read_games(path: str) -> tuple[list[GameRecord], list[tuple[int, str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding=INPUT_ENCODING) as fh:
         return parse_games(fh)
 
 

@@ -7,6 +7,7 @@ import io
 import itertools
 import math
 import os
+import sys
 import tempfile
 import warnings
 
@@ -292,6 +293,41 @@ def _write_snapshot(path, mu=0.5):
         store.RatingSnapshot(2, entries, model.DEFAULT_HYPERPARAMETERS, EngineConfig()),
         str(path),
     )
+
+
+class TestByteOrderMark:
+    """A games or fixtures file that starts with a UTF-8 byte-order mark gives
+    the outputs of the same file without it, and no warning."""
+
+    @staticmethod
+    def _marked(path):
+        marked = path.with_name("marked-" + path.name)
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return marked
+
+    def test_games_file(self, league_files, tmp_path, capsys):
+        _, _, per_period = league_files
+        outputs = []
+        for games in (per_period[1], self._marked(per_period[1])):
+            snap, report = tmp_path / f"{games.name}.snapshot", tmp_path / f"{games.name}.r"
+            assert run(["rate", "--games", games, "--out-snapshot", snap,
+                        "--report", report]) == cli.EXIT_OK
+            assert capsys.readouterr().err == ""
+            outputs.append((snap.read_bytes(), report.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_fixtures_file(self, tmp_path, capsys):
+        snap = tmp_path / "s.snapshot"
+        _write_snapshot(snap)
+        fixtures = tmp_path / "f.csv"
+        fixtures.write_text("white,black\nanna,bert\nbert,anna\n")
+        outputs = []
+        for path in (fixtures, self._marked(fixtures)):
+            assert run(["predict", "--snapshot", snap, "--fixtures", path]) == cli.EXIT_OK
+            out, err = capsys.readouterr()
+            assert err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") == 3
 
 
 class TestNoPartialOutput:
@@ -979,6 +1015,34 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: malformed snapshot header") and err.count("\n") == 1
 
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS as Linux applies it")
+    def test_an_allocation_over_the_memory_limit_is_an_input_error(self, fresh_python):
+        """``validate --games 100000000`` asks numpy for 4.47 GiB at once; under
+        a 1.5 GB address-space limit, set in the child interpreter only, the
+        request fails without touching the memory, and the command prints one
+        line."""
+        got = fresh_python("""
+            import contextlib, io, json, resource
+            from drawrating import cli
+
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["validate", "--games", "100000000"])
+            print(json.dumps({"code": code, "out": out.getvalue(), "err": err.getvalue()}))
+        """)
+        assert got["code"] == cli.EXIT_INPUT_ERROR and got["out"] == ""
+        assert got["err"].startswith("error: out of memory: Unable to allocate 4.47 GiB")
+        assert got["err"].count("\n") == 1
+
+    def test_a_memory_error_without_a_message_is_one_line(self, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_validate", exhausted)
+        assert run(["validate", "--games", 5]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     @pytest.mark.parametrize("flags", [[], ["--no-draw-override"]])
     def test_overflowing_hyperparameters_print_one_line(self, tmp_path, capsys, flags):

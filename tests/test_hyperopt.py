@@ -589,6 +589,18 @@ class TestEmptyPeriods:
             assert np.array_equal(after[0], before[0])
 
 
+def observed_probability(white_mu, white_sigma, black_mu, black_sigma, observed, h, order):
+    """``hyperopt._observed_probability`` of n games' belief columns, through
+    a table of 2n players: White's of each game, then Black's."""
+    n = len(observed)
+    table = engine.node_strengths(
+        np.concatenate([white_mu, black_mu]), np.concatenate([white_sigma, black_sigma]),
+        hyperopt._node_columns(order)[0], np.empty((order, 2 * n)), math.sqrt(2.0),
+    )
+    return hyperopt._observed_probability(table, np.arange(n), np.arange(n, 2 * n), observed,
+                                          h, order)
+
+
 def _per_period_objective(history, h, train_until):
     """repr((total, per_period_loglik)) of a plain replay that scores and
     filters every period, empty or not."""
@@ -598,7 +610,7 @@ def _per_period_objective(history, h, train_until):
     for number, period in enumerate(history.periods, start=1):
         if number > train_until:
             white, black = period.white, period.black
-            p = hyperopt._observed_probability(
+            p = observed_probability(
                 mu[white], sigma[white], mu[black], sigma[black], period.observed, h, 3
             )
             with np.errstate(divide="ignore"):
@@ -676,13 +688,17 @@ class TestChunkedPasses:
         # every pass in one chunk
         (GUARD_POINTS[2], 1 << 30, {1}),
     ])
-    def test_fit_is_independent_of_the_chunk_size(self, chunk_bound, h, bound, counts):
+    def test_fit_is_independent_of_the_chunk_size(self, chunk_bound, monkeypatch, h, bound,
+                                                  counts):
         """Periods of 2 500 games; at the default bound a period's 5 000
         terms take one chunk and its 2 500 scored games two."""
         history = _chunked_league(200, 3, 2500)
         default = chunk_bound(engine.GRID_CHUNK)
         want, want_states = _replay(history, h, 1)
         assert set(default) == {1, 2}
+        # the filter's take index is compiled for the chunks of its passes
+        monkeypatch.setattr(engine, "GRID_CHUNK", bound)
+        history = _chunked_league(200, 3, 2500)
         chunks = chunk_bound(bound)
         got, got_states = _replay(history, h, 1)
         assert got == want
@@ -690,19 +706,26 @@ class TestChunkedPasses:
             assert all(map(np.array_equal, got_arrays, want_arrays))
         assert set(chunks) == counts
 
-    def test_a_scored_period_keeps_its_temporaries_small(self):
-        """Peak memory an evaluation allocates over what it holds at the start,
-        on a league whose scored periods have 5 000 games each: about 1.2 MB
-        in chunks of 64 KiB, about 4 MB as whole-period passes."""
-        history = _chunked_league(500, 3, 5000)
-        tracemalloc.start()
-        try:
+    def test_a_scored_period_keeps_its_temporaries_small(self, fresh_python):
+        """Peak memory a first evaluation allocates over what it holds at the
+        start, on a league whose scored periods have 5 000 games each: under
+        2 MB in chunks, about 4 MB as whole-period passes.  It runs in a new
+        interpreter, so that no earlier test has left blocks for it to reuse."""
+        got = fresh_python("""
+            import json, tracemalloc
+            from drawrating import engine, hyperopt, simulate
+            from drawrating.model import Hyperparameters
+
+            h, cfg = Hyperparameters(), engine.EngineConfig()
+            league = simulate.simulate_league(
+                simulate.LeagueConfig(500, 3, 5000, "uniform-random", seed=5), h)
+            history = engine.compile_history(league.games, None, cfg)
+            tracemalloc.start()
             start = tracemalloc.get_traced_memory()[0]
-            hyperopt.evaluate_hyperparameters(history, H2, CFG, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - start < 2_000_000
+            hyperopt.evaluate_hyperparameters(history, h, cfg, 1)
+            print(json.dumps({"peak": tracemalloc.get_traced_memory()[1] - start}))
+        """)
+        assert got["peak"] < 2_000_000
 
     @pytest.mark.skipif(sys.platform != "linux", reason="minor page faults as Linux counts them")
     def test_a_warm_fit_evaluation_takes_no_page_faults(self):

@@ -15,7 +15,16 @@ picking columns with ``np.choose``, one opponent node at a time, the
 scoring form picking its column with ``np.choose``, and the period compiler
 and filter step built on them.  A third is the nested ``np.where`` over
 boolean win and draw masks that picked the observed column before
-``model.observed_column`` took it from a stacked block by index.
+``model.observed_column`` took it from a stacked block by index.  A fourth
+is the filter and the scoring as they formed the node strengths of every
+game from its belief columns, and the filter's take index on every pass,
+before both gathered the strengths from one table per player and the
+filter read its index from the compiled period.
+
+The kernels of the package take node strengths and player tables; the
+wrappers ``engine_delta_arrays``, ``node_grid`` and
+``observed_probability`` give them the per-game belief columns that the
+references take.
 """
 
 import math
@@ -152,12 +161,99 @@ def choose_filter_period(terms, ids, mu, sigma, tracked, h, cfg):
     return counts, sigma_post
 
 
+def engine_delta_arrays(focal_mu, opp_mu, opp_sigma, observed, color, h, draw_score_override):
+    """``engine._delta_arrays`` of belief columns that broadcast to 1-D, with
+    each term's opponent nodes formed by ``engine.node_strengths``."""
+    focal_mu, opp_mu, opp_sigma, observed, color = np.broadcast_arrays(
+        *map(np.atleast_1d, (focal_mu, opp_mu, opp_sigma, observed, color)))
+    n = len(observed)
+    nodes = engine.node_strengths(opp_mu, opp_sigma, engine._NODE_SIGNS, np.empty((2, n)))
+    return engine._delta_arrays(focal_mu, nodes, observed, engine._term_index(observed), color,
+                                h, draw_score_override)
+
+
+def node_grid(white_mu, white_sigma, black_mu, black_sigma, h, order):
+    """``hyperopt._node_grid`` of n games' belief columns, with their node
+    strengths formed by ``engine.node_strengths``."""
+    work = engine.Workspace()
+    nodes = hyperopt._node_rows(order, len(white_mu), work)
+    for row, mu, sigma in ((nodes[0], white_mu, white_sigma), (nodes[1], black_mu, black_sigma)):
+        engine.node_strengths(mu, sigma, hyperopt._node_columns(order)[0], row, math.sqrt(2.0))
+    return hyperopt._node_grid(nodes, h, work)
+
+
+def node_table(mu, sigma, order):
+    """The (order, players) table of mu + (sqrt(2) sigma) node that the scoring gathers."""
+    return engine.node_strengths(mu, sigma, hyperopt._node_columns(order)[0],
+                                 np.empty((order, len(mu))), math.sqrt(2.0))
+
+
+def observed_probability(white_mu, white_sigma, black_mu, black_sigma, observed, h, order):
+    """``hyperopt._observed_probability`` of n games' belief columns, through
+    a table of 2n players: White's of each game, then Black's."""
+    n = len(observed)
+    table = node_table(np.concatenate([white_mu, black_mu]),
+                       np.concatenate([white_sigma, black_sigma]), order)
+    return hyperopt._observed_probability(table, np.arange(n), np.arange(n, 2 * n), observed,
+                                          h, order)
+
+
 def choose_observed_probability(white_mu, white_sigma, black_mu, black_sigma, observed, h,
                                 order):
-    _, logits, log_total, w2 = hyperopt._node_grid(white_mu, white_sigma, black_mu, black_sigma,
-                                                   h, order, engine.Workspace())
+    _, logits, log_total, w2 = node_grid(white_mu, white_sigma, black_mu, black_sigma, h, order)
     terms = np.exp(np.choose(observed, logits - log_total)) * w2
     return hyperopt._pair_sum(terms, order, len(observed), np.empty(len(observed)))
+
+
+def pergame_filter_period(period, ids, mu, sigma, tracked, h, cfg):
+    """``engine.filter_period`` as it formed each term's opponent nodes from
+    the terms' belief columns, mu + (-1, +1) sigma, and the take index of
+    the observed outcomes on every pass."""
+    work = engine.Workspace()
+    players = period.players
+    counts = np.zeros(len(mu), dtype=np.intp)
+    counts[players] = period.games
+    if players.size:
+        tracked[players] = True
+        d1, d2 = np.empty((2, period.focal.size))
+        for part in engine.chunks(period.focal.size, 10):
+            focal, opp, n = period.focal[part], period.opp[part], part.stop - part.start
+            with np.errstate(over="ignore", invalid="ignore"):
+                nodes = np.add(mu[opp], np.multiply(engine._NODE_SIGNS, sigma[opp]))
+            index = model.observed_index(period.outcome[part], np.arange(2 * n).reshape(2, n))
+            d1[part], d2[part], _ = engine._delta_arrays(
+                mu[focal], nodes, period.outcome[part], index, period.color[part], h,
+                cfg.draw_score_override, work,
+            )
+        mu[players], sigma[players] = engine._newton_step(
+            ids[players], mu[players], sigma[players],
+            np.bincount(period.focal, weights=d1)[players],
+            np.bincount(period.focal, weights=d2)[players],
+        )
+    sigma_post = sigma.copy()
+    grow = tracked & (sigma < cfg.sigma_cap)
+    sigma[grow] = np.sqrt(np.float_power(sigma[grow], 2.0) + h.tau**2)
+    return counts, sigma_post
+
+
+def pergame_observed_probability(white_mu, white_sigma, black_mu, black_sigma, observed, h,
+                                 order):
+    """``hyperopt._observed_probability`` as it formed each game's node
+    strengths, mu + (sqrt(2) sigma) node, from the games' belief columns."""
+    work = engine.Workspace()
+    x, w2 = hyperopt._node_columns(order)
+    p = np.empty(len(observed))
+    for part in engine.chunks(len(observed), 5 * order * order):
+        width = part.stop - part.start
+        nodes = hyperopt._node_rows(order, width, work)
+        for row, mu, sigma in ((nodes[0], white_mu, white_sigma),
+                               (nodes[1], black_mu, black_sigma)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.copyto(row, mu[part] + (math.sqrt(2.0) * sigma[part]) * x)
+        _, logits, log_total, _ = hyperopt._node_grid(nodes, h, work)
+        terms = np.exp(model.observed_column(observed[part], logits) - log_total) * w2
+        hyperopt._pair_sum(terms, order, width, p[part])
+    return p
 
 
 def ref_predictive_probability_array(white_mu, white_sigma, black_mu, black_sigma, h, order):
@@ -290,7 +386,7 @@ def coefficient_delta_arrays(focal_mu, opp_mu, opp_sigma, win, draw, color, h,
 
 def delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_score_override):
     """``engine._delta_arrays`` of float outcomes."""
-    return engine._delta_arrays(
+    return engine_delta_arrays(
         focal_mu, opp_mu, opp_sigma, indices(outcome), color, h, draw_score_override
     )
 
@@ -335,7 +431,7 @@ class TestDeltaArrays:
             want = coefficient_delta_arrays(
                 focal, opp, sigma, observed == 0, observed == 1, color, h, override
             )
-        got = engine._delta_arrays(focal, opp, sigma, observed, color, h, override)
+        got = engine_delta_arrays(focal, opp, sigma, observed, color, h, override)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
     @pytest.mark.parametrize("override", [True, False])
@@ -396,7 +492,7 @@ class TestObservedScoring:
         n = _game_count(3000, order)
         wmu, wsd, bmu, bsd, observed = _games(n, order)
         wmu[:len(EXTREMES)], bmu[:len(EXTREMES)] = EXTREMES, EXTREMES[::-1]
-        got = hyperopt._observed_probability(
+        got = observed_probability(
             wmu, wsd, bmu, bsd, observed, h, order
         )
         want = ref_observed_probability(wmu, wsd, bmu, bsd, observed, h, order)
@@ -412,7 +508,7 @@ class TestObservedScoring:
         """A one-game period must not fall back to a pairwise node sum."""
         for seed in range(40):
             *beliefs, observed = _games(n, 100 * order + seed)
-            got = hyperopt._observed_probability(
+            got = observed_probability(
                 *beliefs, observed, HYPERS[1], order
             )
             want = ref_observed_probability(*beliefs, observed, HYPERS[1], order)
@@ -681,5 +777,115 @@ class TestFiveRowPasses:
         h = Hyperparameters(*alpha, *beta, 0.1)
         assert_identical(hyperopt.predictive_probability_array(*beliefs, h, order),
                          ref_predictive_probability_array(*beliefs, h, order))
-        assert_identical(hyperopt._observed_probability(*beliefs, observed, h, order),
+        assert_identical(observed_probability(*beliefs, observed, h, order),
                          ref_observed_probability(*beliefs, observed, h, order))
+
+
+def _random_history(rng, players, periods, games, cfg):
+    """Games of ``periods`` periods among ``players`` players and an initial
+    state of some of them: the others debut in a game, the first against a
+    rated player at the sigma cap; two rated players never play, and each
+    period leaves out a random third of the players."""
+    ids = [f"p{k}" for k in range(players)]
+    rated = rng.permutation(players)[:max(3, players // 2)]
+    state = {
+        ids[k]: engine.PlayerBelief(ids[k], float(rng.normal(0.0, 1.5)),
+                                    float(rng.uniform(0.05, 0.69)))
+        for k in rated
+    }
+    capped = ids[rated[0]]
+    state[capped] = engine.PlayerBelief(capped, state[capped].mu, cfg.sigma_cap)
+    idle = {ids[k] for k in rated[1:3]}
+    playing = [pid for pid in ids if pid not in idle]
+    debutant = next(pid for pid in ids if pid not in state)
+    records = [store.GameRecord(1, debutant, capped, 0.5)]
+    for period in range(1, periods + 1):
+        present = [pid for pid in playing if rng.random() > 1 / 3] or playing
+        if len(present) < 2:
+            present = playing
+        for _ in range(games):
+            white, black = rng.choice(present, 2, replace=False)
+            records.append(store.GameRecord(period, str(white), str(black),
+                                            float(rng.choice([1.0, 0.5, 0.0]))))
+    return records, state, idle
+
+
+def _both_ways(history, h, cfg, order):
+    """Every period of ``history`` scored and filtered in turn through the
+    node tables and through the per-game node formation; asserts that both
+    give every bit alike, and returns the filtered states."""
+    mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
+    ref_mu, ref_sigma, ref_tracked = mu.copy(), sigma.copy(), tracked.copy()
+    for period in history.periods:
+        white, black = period.white, period.black
+        got = hyperopt._observed_probability(
+            node_table(mu, sigma, order), white, black, period.observed, h, order
+        )
+        want = pergame_observed_probability(
+            mu[white], sigma[white], mu[black], sigma[black], period.observed, h, order
+        )
+        assert_identical((got,), (want,))
+        got = engine.filter_period(period, history.ids, mu, sigma, tracked, h, cfg)
+        want = pergame_filter_period(period, history.ids, ref_mu, ref_sigma, ref_tracked, h, cfg)
+        assert_identical((mu, sigma, tracked, *got), (ref_mu, ref_sigma, ref_tracked, *want))
+    return mu, sigma, tracked
+
+
+class TestNodeTables:
+    """The filter and the scoring, gathering every node strength from one
+    table per player and the filter's take index from the compiled period,
+    against their per-game forms, bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), players=st.integers(5, 12),
+           periods=st.integers(1, 4), games=st.integers(1, 25), order=st.integers(1, 9),
+           alpha=st.tuples(_NON_ZERO, st.floats(-1.0, 1.0)),
+           beta=st.tuples(st.floats(-2.0, 2.0), st.floats(-0.9, 0.9)),
+           tau=st.floats(0.0, 0.5))
+    @example(seed=3, players=6, periods=3, games=4, order=3, alpha=(0.2, 0.1), beta=(0.8, 0.3),
+             tau=0.2)
+    @settings(max_examples=40, deadline=None)
+    def test_small_histories(self, seed, players, periods, games, order, alpha, beta, tau):
+        """Debutants, idle players, a player at the cap, a white advantage
+        and the draw-score override off."""
+        cfg = engine.EngineConfig(draw_score_override=False)
+        rng = np.random.default_rng(seed)
+        records, state, idle = _random_history(rng, players, periods, games, cfg)
+        history = engine.compile_history(records, state, cfg)
+        h = Hyperparameters(*alpha, *beta, tau)
+        mu, sigma, _ = _both_ways(history, h, cfg, order)
+        rows = [list(history.ids).index(pid) for pid in sorted(idle)]
+        assert np.array_equal(mu[rows], history.mu[rows])
+        assert len(history.ids) > len(state)
+
+    @pytest.mark.parametrize("override", [True, False])
+    def test_a_period_of_several_chunks(self, override):
+        """4 000 games among 300 players: 8 000 terms, over the 7 372 of a
+        filter chunk, and 4 000 scored games, over the 1 638 of a scoring
+        chunk at order 3; each chunk's compiled index is the one a pass
+        forms."""
+        cfg = engine.EngineConfig(draw_score_override=override)
+        rng = np.random.default_rng(21)
+        records, state, _ = _random_history(rng, 300, 1, 4000, cfg)
+        history = engine.compile_history(records, state, cfg)
+        period = history.periods[0]
+        parts = engine.chunks(period.focal.size, 10)
+        assert period.focal.size > engine.GRID_CHUNK // 10 and len(parts) == len(period.index) == 2
+        assert len(period.white) > engine.GRID_CHUNK // (5 * 3 * 3)
+        for part, index in zip(parts, period.index):
+            width = part.stop - part.start
+            assert np.array_equal(index, model.observed_index(
+                period.outcome[part], np.arange(2 * width).reshape(2, width)))
+        for h in (HYPERS[0], HYPERS[2]):
+            _both_ways(history, h, cfg, 3)
+
+    def test_a_period_compiled_for_other_chunks_is_refused(self, monkeypatch):
+        """The compiled index fits the chunks of the bound it was compiled
+        under; under another bound the filter raises, not reads it wrong."""
+        cfg = engine.EngineConfig()
+        records, state, _ = _random_history(np.random.default_rng(4), 40, 1, 500, cfg)
+        history = engine.compile_history(records, state, cfg)
+        for bound in (10, 3150, 9990):
+            monkeypatch.setattr(engine, "GRID_CHUNK", bound)
+            with pytest.raises(ValueError):
+                engine.filter_period(history.periods[0], history.ids, history.mu.copy(),
+                                     history.sigma.copy(), history.tracked.copy(), HYPERS[0], cfg)

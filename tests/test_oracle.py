@@ -198,6 +198,15 @@ class TestCompareUpdates:
         assert row.r2_mean > 0.95
 
 
+def delta_arrays(focal_mu, opp_mu, opp_sigma, observed, color, h, draw_score_override):
+    """``engine._delta_arrays`` of 1-D belief columns, with each game's
+    opponent nodes formed by ``engine.node_strengths``."""
+    n = len(observed)
+    nodes = engine.node_strengths(opp_mu, opp_sigma, engine._NODE_SIGNS, np.empty((2, n)))
+    return engine._delta_arrays(focal_mu, nodes, observed, engine._term_index(observed), color,
+                                h, draw_score_override)
+
+
 def reference_compare_updates(games, h, cfg, order=9, stratify=False, reasons=None):
     """The per-game ``compare_updates`` loop the array pass replaced, on
     Python floats: one ``engine._newton_step`` and one posterior per game.
@@ -214,7 +223,7 @@ def reference_compare_updates(games, h, cfg, order=9, stratify=False, reasons=No
                                (opponent, "mu"), (opponent, "sigma"))
     )
     color = np.array(color, dtype=float)
-    d1, d2, p_obs = engine._delta_arrays(
+    d1, d2, p_obs = delta_arrays(
         focal_mu, opp_mu, opp_sigma, observed, color, h, cfg.draw_score_override,
     )
     mean, second = oracle.posterior_moments(

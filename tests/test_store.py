@@ -56,6 +56,34 @@ class TestParseGames:
         assert len(records) == 1 and rejects == []
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a games or ratings file is not
+    read as part of its first field; the file reads as it does without one."""
+
+    @pytest.mark.parametrize("text", [
+        "period,white,black,result\n1,a,b,1\n2,b,c,D\n",
+        "1,a,b,1\n2,b,c,D\n",
+    ], ids=["header", "no-header"])
+    def test_games_file(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        want = store.read_games(str(plain))
+        assert store.read_games(str(marked)) == want
+        assert want[1] == [] and [g.period for g in want[0]] == [1, 2]
+
+    @pytest.mark.parametrize("text", ["player,elo\nanna,2100\nbert,1900\n",
+                                      "anna,2100\nbert,1900\n"], ids=["header", "no-header"])
+    def test_ratings_file(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        want = store.read_ratings(str(plain))
+        assert store.read_ratings(str(marked)) == want
+        assert want == ([("anna", 2100.0), ("bert", 1900.0)], [])
+
+
 class TestCompactRecords:
     """A game record is slotted, and a parse shares one id string per player
     and one int per period among its records."""
