@@ -49,10 +49,10 @@ class Workspace:
     that run one after the other (the scoring and the filter of a period)
     use the same names, so that their blocks share memory too.  The names:
     ``"grid"``, each pass's five-row block of ``model.shifted_logit_columns``;
-    ``"table"``, the pass's node strengths of every player
-    (``node_strengths``), which its grid rows gather; ``"terms"``, the
-    pass's results over the whole period; and ``"beliefs"``, the focal
-    strengths of the filter's chunk.
+    ``"priors"``, the prior means and sds of the period's players
+    (``period_priors``); ``"table"``, their node strengths
+    (``node_strengths``), which the grid rows gather; and ``"terms"``, the
+    pass's results over the whole period.
     ``positions(shape)`` is ``np.arange`` in that shape, the positions of a
     take index (``model.observed_index``), as a view of one kept ramp.
     A workspace serves one pass at a time, so one thread.
@@ -203,42 +203,35 @@ _NODE_SIGNS = np.array([[-1.0], [1.0]])
 def node_strengths(mu, sigma, nodes, out, scale=None):
     """Strengths ``mu + (scale * sigma) * node`` at each of the quadrature
     ``nodes``, or ``mu + sigma * node`` without a ``scale``, written in
-    ``out`` of the broadcast shape: per player for a table of every player
-    (``nodes`` a column), or per game for columns of games."""
+    ``out`` of the broadcast shape: per player for a table of a period's
+    players (``nodes`` a column), or per game for columns of games."""
     width = sigma if scale is None else np.multiply(scale, sigma, out=out)
     np.multiply(width, nodes, out=out)
     return np.add(mu, out, out=out)
 
 
-def _term_index(outcome) -> np.ndarray:
-    """The (2, n) flat take index of n directed terms' outcome indices
-    ``outcome`` into their (3, 2, n) probability block (``model.observed_index``)."""
-    positions = np.arange(2 * len(outcome)).reshape(2, -1)
-    return model.observed_index(outcome, positions, out=positions)
-
-
-def _delta_arrays(focal_mu, nodes, outcome, index, color, h, draw_score_override, work=None):
-    """Vectorized game-term computation over n directed terms, from 1-D columns.
+def _delta_arrays(focal_mu, nodes, outcome, color, h, draw_score_override, work=None):
+    """Vectorized game-term computation over n directed terms.
 
     ``nodes`` holds the opponent nodes mu_j - sigma_j and mu_j + sigma_j as
-    the rows of one (2, n) block (``node_strengths`` at ``_NODE_SIGNS``).
-    ``outcome`` is the observed outcome's index from the focal player's side
-    (0 win, 1 draw, 2 loss), and ``index`` its flat take index into the
-    (3, 2, n) probability block (``_term_index``).  The outcome model is
+    the rows of one (2, n) block (``node_strengths`` at ``_NODE_SIGNS``), and
+    ``focal_mu`` the focal prior means, (n,) or (2, n); ``outcome`` and
+    ``color`` are (n,).  ``outcome`` is the observed outcome's index from the
+    focal player's side (0 win, 1 draw, 2 loss).  The outcome model is
     evaluated at both nodes with the focal strength fixed at its prior mean.
     The equal 1/2 node weights cancel between numerator and denominator of
     the delta terms; p_observed keeps the uncancelled two-node sum.
     Every temporary is written in the block ``"grid"`` of ``work`` (a new
-    workspace if not given), whose row 2 may hold ``nodes``; the results are
-    views of that block.
+    workspace if not given), whose rows 0 and 2 may hold ``focal_mu`` and
+    ``nodes``; the results are views of that block.
     """
     if work is None:
         work = Workspace()
     n = len(outcome)
-    # (2, n) rows: the kernel's block, with the opponent nodes possibly in
-    # row 2; then 0-2 p, 3 p_y; with alpha1 == 0, 2 s2, 1 s1 and the first
-    # half of 0 a_y; then 4 d1, 2 d2 and 1 scratch; last, rows 0-1 the node
-    # sums and the deltas
+    # (2, n) rows: the kernel's block, with the focal strengths possibly in
+    # row 0 and the opponent nodes in row 2; then 0-2 p, 3 p_y, 4 the take
+    # index; with alpha1 == 0, 2 s2, 1 s1 and the first half of 0 a_y; then
+    # 4 d1, 2 d2 and 1 scratch; last, rows 0-1 the node sums and the deltas
     block = work.block("grid", (5, 2, n))
     # a huge draw coefficient overflows and p_obs can underflow to exactly 0;
     # the resulting NaNs are caught by the precision check downstream
@@ -246,6 +239,7 @@ def _delta_arrays(focal_mu, nodes, outcome, index, color, h, draw_score_override
         p, log_total = model.shifted_logit_columns(focal_mu, nodes, color, h, block)
         p -= log_total
         np.exp(p, out=p)
+        index = model.observed_index(outcome, work.positions((2, n)), block[4].view(np.intp))
         # the indices are in range by construction: "wrap" writes straight to out
         p_y = p.take(index, out=block[3], mode="wrap")
         if h.alpha1:
@@ -290,8 +284,8 @@ def game_term(
     with np.errstate(over="ignore", invalid="ignore"):  # as in the kernel
         nodes = node_strengths(opponent.mu, opponent.sigma, _NODE_SIGNS, np.empty((2, 1)))
     d1, d2, p = _delta_arrays(
-        np.array([focal.mu]), nodes, observed, _term_index(observed),
-        np.array([color], dtype=float), h, cfg.draw_score_override,
+        np.array([focal.mu]), nodes, observed, np.array([color], dtype=float), h,
+        cfg.draw_score_override,
     )
     if not (p[0] > 0):
         raise DegenerateUpdateError(
@@ -362,18 +356,18 @@ def games_by_period(games: list) -> dict:
 
 @dataclass(frozen=True)
 class CompiledPeriod:
-    """One period's valid games as player-index and outcome-index arrays.
+    """One period's valid games as player-position and outcome-index arrays.
 
+    ``players`` holds the indices of the period's players in ascending
+    order, and ``games`` the number of games of each; ``white``, ``black``,
+    ``focal`` and ``opp`` are positions in ``players``, so that a pass over
+    the period reads the players' beliefs in a table of the period's size.
     ``white``, ``black`` and ``observed`` (each game's outcome index from
     White's side: 0 win, 1 draw, 2 loss) keep the input order, for scoring.
     The directed terms ``focal``, ``opp``, ``outcome`` (the index from the
     focal player's side) and ``color``, two per game, are sorted by (focal,
     opp, outcome score, color), the index descending, so every sum over
-    them runs in a fixed order whatever the input order.  ``players`` holds the focal players in
-    ascending order, and ``games`` the number of games of each.  ``index``
-    holds the terms' take index (``_term_index``) of each slice
-    ``chunks(len(focal), 10)`` that the filter passes in turn, so it is
-    compiled under the ``GRID_CHUNK`` of those passes.
+    them runs in a fixed order whatever the input order.
     """
 
     white: np.ndarray
@@ -385,7 +379,6 @@ class CompiledPeriod:
     color: np.ndarray
     players: np.ndarray
     games: np.ndarray
-    index: tuple
 
 
 @dataclass(frozen=True)
@@ -410,23 +403,23 @@ class CompiledHistory:
 
 
 def _compile_period(games: list, index: dict) -> CompiledPeriod:
-    """Player-index and outcome-index arrays of already validated games."""
+    """Player-position and outcome-index arrays of already validated games."""
     white = np.array([index[g.white_id] for g in games], dtype=np.intp)
     black = np.array([index[g.black_id] for g in games], dtype=np.intp)
     observed = np.array([model.outcome_index(g.outcome) for g in games], dtype=np.intp)
+    counts = np.bincount(np.concatenate([white, black]))
+    players = np.flatnonzero(counts)
+    position = np.cumsum(counts > 0, dtype=np.intp) - 1  # each index's place in players
+    white, black = position[white], position[black]
     focal = np.concatenate([white, black])
     opp = np.concatenate([black, white])
     outcome = np.concatenate([observed, 2 - observed])  # from the focal side
     color = np.repeat([1.0, -1.0], len(games))
     # ascending outcome value (loss, draw, win) is descending index
     order = np.lexsort((color, -outcome, opp, focal))
-    outcome = outcome[order]
-    counts = np.bincount(focal)
-    players = np.flatnonzero(counts)
     return CompiledPeriod(
-        white, black, observed, focal[order], opp[order], outcome, color[order],
+        white, black, observed, focal[order], opp[order], outcome[order], color[order],
         players, counts[players],
-        tuple(_term_index(outcome[part]) for part in chunks(len(outcome), 10)),
     )
 
 
@@ -478,13 +471,23 @@ def compile_history(games: list, initial_state: dict | None, cfg: EngineConfig) 
     )
 
 
+def period_priors(period: CompiledPeriod, mu, sigma, work: Workspace) -> np.ndarray:
+    """The prior means and sds of the period's players, in their order, as
+    the rows of the (2, players) block ``"priors"`` of ``work``."""
+    priors = work.block("priors", (2, period.players.size))
+    # player indices are in range by construction: "wrap" writes straight to out
+    mu.take(period.players, out=priors[0], mode="wrap")
+    sigma.take(period.players, out=priors[1], mode="wrap")
+    return priors
+
+
 def filter_period(period: CompiledPeriod, ids, mu, sigma, tracked, h: Hyperparameters,
                   cfg: EngineConfig, work: Workspace | None = None):
     """Fold one compiled period into the belief arrays, in place.
 
     Every directed term is computed against the prior arrays, in ``chunks``
     of two opponent nodes per term, which each chunk gathers from one table
-    of every player's nodes, with its temporaries in ``work`` (a new
+    of the period's players' nodes, with its temporaries in ``work`` (a new
     workspace if not given); each player with a game takes one Newton step;
     then every tracked player below the cap is advanced in time
     (``advance_time``, vectorized bit for bit).
@@ -497,28 +500,29 @@ def filter_period(period: CompiledPeriod, ids, mu, sigma, tracked, h: Hyperparam
     counts[players] = period.games
     if players.size:
         tracked[players] = True
-        d1, d2 = work.block("terms", (2, period.focal.size))
-        # every player's nodes; as in the kernel, an overflow warns of nothing,
-        # so a player without a game here raises no warning
+        prior_mu, prior_sigma = period_priors(period, mu, sigma, work)
+        # each player's nodes, which an overflow warns of no more than the kernel
         with np.errstate(over="ignore", invalid="ignore"):
-            table = node_strengths(mu, sigma, _NODE_SIGNS, work.block("table", (2, len(mu))))
+            table = node_strengths(prior_mu, prior_sigma, _NODE_SIGNS,
+                                   work.block("table", (2, players.size)))
+        d1, d2 = work.block("terms", (2, period.focal.size))
         # each term (five rows of two nodes) is computed alone, so the
-        # chunking leaves every bit as it is; an index compiled for other
-        # chunks fails the zip or the kernel's take
-        for part, index in zip(chunks(period.focal.size, 10), period.index, strict=True):
+        # chunking leaves every bit as it is
+        for part in chunks(period.focal.size, 10):
             n = part.stop - part.start
-            # player indices are in range by construction: "wrap" writes straight to out
-            focal = mu.take(period.focal[part], out=work.block("beliefs", (n,)), mode="wrap")
-            nodes = table.take(period.opp[part], axis=1, out=work.block("grid", (5, 2, n))[2],
-                               mode="wrap")
+            # the focal strengths across both nodes in row 0 of the kernel's
+            # block and the opponent nodes in row 2, so that no operand
+            # broadcasts; positions are in range: "wrap" writes straight to out
+            grid = work.block("grid", (5, 2, n))
+            np.copyto(grid[0, 1], prior_mu.take(period.focal[part], out=grid[0, 0], mode="wrap"))
+            nodes = table.take(period.opp[part], axis=1, out=grid[2], mode="wrap")
             d1[part], d2[part], _ = _delta_arrays(
-                focal, nodes, period.outcome[part], index, period.color[part], h,
+                grid[0], nodes, period.outcome[part], period.color[part], h,
                 cfg.draw_score_override, work,
             )
         mu[players], sigma[players] = _newton_step(
-            map(ids.__getitem__, players), mu[players], sigma[players],
-            np.bincount(period.focal, weights=d1)[players],
-            np.bincount(period.focal, weights=d2)[players],
+            map(ids.__getitem__, players), prior_mu, prior_sigma,
+            np.bincount(period.focal, weights=d1), np.bincount(period.focal, weights=d2),
         )
     sigma_post = sigma.copy()
     grow = tracked & (sigma < cfg.sigma_cap)

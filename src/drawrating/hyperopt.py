@@ -163,9 +163,9 @@ def _observed_probability(
     """Belief-integrated probability of each game's observed outcome.
 
     The scoring form of ``predictive_probability_array``: each chunk
-    gathers its games' node strengths from ``table``, every player's
+    gathers its games' node strengths from ``table``, the players'
     (order, players) mu + (sqrt(2) sigma) node, by the White and Black
-    player indices ``white`` and ``black``.  Only the observed outcome's
+    player positions ``white`` and ``black``.  Only the observed outcome's
     shifted logit, picked by the outcome index ``observed`` (0 win, 1 draw,
     2 loss, from White's side), is normalised and exponentiated, in
     ``engine.chunks`` of the (5, order, order) grid cells per game.  The
@@ -178,7 +178,7 @@ def _observed_probability(
     for part in engine.chunks(len(observed), 5 * order * order):
         width = part.stop - part.start
         nodes = _node_rows(order, width, work)
-        # player indices are in range by construction: "wrap" writes straight to out
+        # player positions are in range by construction: "wrap" writes straight to out
         table.take(white[part], axis=1, out=nodes[0], mode="wrap")
         table.take(black[part], axis=1, out=nodes[1], mode="wrap")
         grid, logits, log_total, w2 = _node_grid(nodes, h, work)
@@ -238,12 +238,11 @@ def evaluate_hyperparameters(
         if number > train_until:
             loglik = 0.0
             if n:
-                # mu + (sqrt(2) sigma) node of every player, once per period; a
-                # player without a game here warns of no overflow
-                with np.errstate(over="ignore", invalid="ignore"):
-                    table = engine.node_strengths(mu, sigma, _node_columns(order)[0],
-                                                  work.block("table", (order, len(mu))),
-                                                  math.sqrt(2.0))
+                # mu + (sqrt(2) sigma) node of each of the period's players
+                table = engine.node_strengths(
+                    *engine.period_priors(period, mu, sigma, work), _node_columns(order)[0],
+                    work.block("table", (order, period.players.size)), math.sqrt(2.0),
+                )
                 p = _observed_probability(table, period.white, period.black, period.observed,
                                           h, order, work)
                 with np.errstate(divide="ignore"):  # an underflown outcome scores -inf

@@ -250,16 +250,15 @@ def compare_updates(
     color = np.array(color, dtype=float)
     d1, d2, p_obs = np.empty((3, len(games)))
     work = engine.Workspace()
-    # each game's terms are computed alone, as in engine.filter_period, with
-    # the opponent nodes in row 2 of the kernel's block, formed as the kernel
-    # forms the rest: an overflow is not warned of
+    # each game's terms are computed alone, as in engine.filter_period, the
+    # opponent nodes in row 2 of the kernel's block, overflowing silently as there
     for part in engine.chunks(len(games), 10):
         with np.errstate(over="ignore", invalid="ignore"):
             nodes = engine.node_strengths(opp_mu[part], opp_sigma[part], engine._NODE_SIGNS,
                                           work.block("grid", (5, 2, part.stop - part.start))[2])
         d1[part], d2[part], p_obs[part] = engine._delta_arrays(
-            focal_mu[part], nodes, observed[part], engine._term_index(observed[part]),
-            color[part], h, cfg.draw_score_override, work,
+            focal_mu[part], nodes, observed[part], color[part], h, cfg.draw_score_override,
+            work,
         )
     mean, second = posterior_moments(
         focal_mu, focal_sigma, opp_mu, opp_sigma, observed, color, h, order

@@ -54,8 +54,7 @@ CALLS = {
          GAMES + [store.GameRecord(1, "cara", "cara", 1.0)], H, EngineConfig()), {}),
     "engine.delta_arrays": lambda tmp_path: (
         (np.zeros(3), np.array([np.full(3, 0.5), np.full(3, 1.5)]), np.array([0, 1, 2]),
-         model.observed_index(np.array([0, 1, 2]), np.arange(6).reshape(2, 3)), np.ones(3), H,
-         True), {}),
+         np.ones(3), H, True), {}),
     "hyperopt.predictive_probability_array": lambda tmp_path: (
         (np.zeros((2, 2)), 0.5, 1.0, 0.5, H), {}),
     "hyperopt.optimize": lambda tmp_path: (

