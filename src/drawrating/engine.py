@@ -336,14 +336,21 @@ def advance_time(post: PlayerBelief, h: Hyperparameters, cfg: EngineConfig) -> P
     return PlayerBelief(post.player_id, post.mu, sigma)
 
 
-def _validate_game(game) -> str | None:
-    if game.white_id == game.black_id:
-        return f"self-play: {game.white_id!r}"
-    try:
-        model.outcome_index(game.outcome)
-    except ValueError:
-        return f"unknown outcome {game.outcome!r}"
-    return None
+def _valid_games(games: list) -> tuple[list, list, list]:
+    """(valid games, the outcome index of each, rejects as (0-based position,
+    reason)) of ``games``."""
+    valid, observed, rejected = [], [], []
+    for position, game in enumerate(games):
+        if game.white_id == game.black_id:
+            rejected.append((position, f"self-play: {game.white_id!r}"))
+            continue
+        try:
+            observed.append(model.outcome_index(game.outcome))
+        except ValueError:
+            rejected.append((position, f"unknown outcome {game.outcome!r}"))
+            continue
+        valid.append(game)
+    return valid, observed, rejected
 
 
 def games_by_period(games: list) -> dict:
@@ -402,11 +409,12 @@ class CompiledHistory:
     work: Workspace = field(default_factory=Workspace, compare=False, repr=False)
 
 
-def _compile_period(games: list, index: dict) -> CompiledPeriod:
-    """Player-position and outcome-index arrays of already validated games."""
+def _compile_period(games: list, observed: list, index: dict) -> CompiledPeriod:
+    """Player-position and outcome-index arrays of validated games and their
+    outcome indices (``_valid_games``)."""
     white = np.array([index[g.white_id] for g in games], dtype=np.intp)
     black = np.array([index[g.black_id] for g in games], dtype=np.intp)
-    observed = np.array([model.outcome_index(g.outcome) for g in games], dtype=np.intp)
+    observed = np.array(observed, dtype=np.intp)
     counts = np.bincount(np.concatenate([white, black]))
     players = np.flatnonzero(counts)
     position = np.cumsum(counts > 0, dtype=np.intp) - 1  # each index's place in players
@@ -415,8 +423,11 @@ def _compile_period(games: list, index: dict) -> CompiledPeriod:
     opp = np.concatenate([black, white])
     outcome = np.concatenate([observed, 2 - observed])  # from the focal side
     color = np.repeat([1.0, -1.0], len(games))
-    # ascending outcome value (loss, draw, win) is descending index
-    order = np.lexsort((color, -outcome, opp, focal))
+    # one int64 key sorts by (focal, opp, outcome value, color): an ascending
+    # outcome value (loss, draw, win) is a descending index.  It stays below
+    # players**2 * 6, so it cannot overflow while that is under 2**63.
+    key = ((focal * players.size + opp) * 3 + (2 - outcome)) * 2 + (color > 0)
+    order = np.argsort(key, kind="stable")
     return CompiledPeriod(
         white, black, observed, focal[order], opp[order], outcome[order], color[order],
         players, counts[players],
@@ -452,22 +463,20 @@ def compile_history(games: list, initial_state: dict | None, cfg: EngineConfig) 
     if not grouped:
         raise ValueError("no games supplied")
     state = initial_state or {}
-    valid = [
-        [g for g in grouped.get(period, []) if _validate_game(g) is None]
-        for period in range(1, max(grouped) + 1)
-    ]
+    valid = [_valid_games(grouped.get(period, []))[:2]
+             for period in range(1, max(grouped) + 1)]
     players = set(state)
-    for period_games in valid:
+    for period_games, _ in valid:
         for g in period_games:
             players.update((g.white_id, g.black_id))
     ids = sorted(players)
     index = {pid: k for k, pid in enumerate(ids)}
     source, mu, sigma = _prior_columns(ids, *_state_columns(state), cfg)
-    empty = _compile_period([], index)
+    empty = _compile_period([], [], index)
     return CompiledHistory(
         np.array(ids, dtype=object), mu, sigma, source >= 0,
-        tuple(_compile_period(period_games, index) if period_games else empty
-              for period_games in valid), cfg,
+        tuple(_compile_period(period_games, observed, index) if period_games else empty
+              for period_games, observed in valid), cfg,
     )
 
 
@@ -561,17 +570,11 @@ def rate_columns(ids, mu, sigma, games: list, h: Hyperparameters,
     of ``cfg`` and are tracked from then on.  Rejects carry 0-based positions
     in ``games``.
     """
-    rejected, valid = [], []
-    for position, game in enumerate(games):
-        reason = _validate_game(game)
-        if reason is None:
-            valid.append(game)
-        else:
-            rejected.append((position, reason))
+    valid, observed, rejected = _valid_games(games)
     new = {pid for g in valid for pid in (g.white_id, g.black_id)}.difference(ids)
     all_ids = sorted([*ids, *new])
     source, mu_prior, sigma_prior = _prior_columns(all_ids, ids, mu, sigma, cfg)
-    period = _compile_period(valid, {pid: k for k, pid in enumerate(all_ids)})
+    period = _compile_period(valid, observed, {pid: k for k, pid in enumerate(all_ids)})
     mu, sigma = mu_prior.copy(), sigma_prior.copy()
     counts, sigma_post = filter_period(
         period, np.array(all_ids, dtype=object), mu, sigma, source >= 0, h, cfg

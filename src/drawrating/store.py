@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import errno
+import itertools
 import math
 import os
 import tempfile
@@ -49,14 +50,6 @@ class RatingSnapshot:
     entries: list  # (player_id, mu, sigma, games_played_cumulative)
     hyperparameters: Hyperparameters
     config: EngineConfig
-
-    def state(self) -> dict:
-        return {
-            pid: PlayerBelief(pid, mu, sigma) for pid, mu, sigma, _ in self.entries
-        }
-
-    def games_played(self) -> dict:
-        return {pid: games for pid, _, _, games in self.entries}
 
     def columns(self) -> tuple:
         """The entries as (ids, mu, sigma, games) tuples."""
@@ -203,6 +196,10 @@ def save_snapshot(snapshot: RatingSnapshot, stream) -> None:
                    map(str, games))
 
 
+#: player rows read per block; a block holds its lines, fields and columns at once
+ROWS_PER_BLOCK = 1024
+
+
 def load_snapshot(stream) -> RatingSnapshot:
     def next_line():
         line = stream.readline()
@@ -236,9 +233,73 @@ def load_snapshot(stream) -> RatingSnapshot:
     except ValueError as exc:
         raise SnapshotFormatError(f"malformed snapshot header: {exc}") from exc
 
-    entries = []
-    seen = set()
-    reader = csv.reader(stream)
+    entries, seen = [], set()
+    line = 5  # the header lines before the player rows
+    while len(entries) < count:
+        block = list(itertools.islice(stream, min(count - len(entries), ROWS_PER_BLOCK)))
+        if not _read_plain_rows(block, entries, seen):
+            break
+        line += len(block)
+    else:
+        block = []
+    # the row loop reads a block the plain reader refused, the rest of the
+    # stream and anything after the player rows
+    _read_rows(itertools.chain(block, stream), count, entries, seen, line)
+    if len(entries) != count:
+        raise SnapshotFormatError(
+            f"expected {count} player rows, found {len(entries)}"
+        )
+    return RatingSnapshot(period, entries, hyper, config)
+
+
+def _read_plain_rows(lines: list, entries: list, seen: set) -> bool:
+    """Add the rows of ``lines`` to ``entries`` and their ids to ``seen``, if
+    every line is a plain ``id,mu,sigma,games`` row that ``_read_rows`` would
+    accept; otherwise, and for no lines, change nothing and return False.
+
+    A plain row ends in ``\\n`` and holds no quote, carriage return or NUL
+    (which Python 3.10's ``csv.reader`` refuses), the only characters besides
+    the comma that ``csv.reader`` treats specially, so splitting at the commas
+    yields its fields.  The lines come from the stream's iterator, which ends
+    each at its ``\\n``.
+    """
+    text = ",".join(lines)
+    if '"' in text or "\r" in text or "\0" in text or len(text) > csv.field_size_limit():
+        return False
+    fields = text.split(",")
+    del text
+    if len(fields) != 4 * len(lines):
+        return False
+    # each line's newline ends one field; if that is a fourth field on every
+    # line, each line has a multiple of 4 fields, so 4 by the count above
+    games = "".join(fields[3::4]).split("\n")[:-1]
+    if len(games) != len(lines):
+        return False
+    try:
+        mu = list(map(float, fields[1::4]))
+        sigma = list(map(float, fields[2::4]))
+        games = list(map(int, games))
+    except ValueError:
+        return False
+    ids = fields[::4]
+    del fields  # the number texts
+    # a sum is finite only if every term is; a sigma of 1e-150 or more has a finite sigma**-2
+    if not (math.isfinite(sum(mu)) and math.isfinite(sum(sigma)) and min(sigma) >= 1e-150
+            and min(games) >= 0 and seen.isdisjoint(ids)):
+        return False
+    size = len(seen)
+    seen.update(ids)
+    if len(seen) != size + len(ids):  # an id repeated within the block
+        seen.difference_update(ids)
+        return False
+    entries.extend(zip(ids, mu, sigma, games))
+    return True
+
+
+def _read_rows(lines, count: int, entries: list, seen: set, line: int) -> None:
+    """Add player rows from ``lines`` through ``csv.reader``, refusing the
+    first bad one; ``line`` counts the snapshot lines before ``lines``."""
+    reader = csv.reader(lines)
     for row in reader:
         if len(entries) == count:
             if row:  # a blank line past the player rows is read past
@@ -256,19 +317,14 @@ def load_snapshot(stream) -> RatingSnapshot:
         if not math.isfinite(mu):
             raise SnapshotFormatError(f"player {pid!r} has invalid mu {mu}")
         # a sigma of 1e-150 or more has sigma**-2 <= 1e300, so only a smaller
-        # one pays for the exact check; the five header lines precede the rows
+        # one pays for the exact check
         if not (math.isfinite(sigma) and sigma > 0) or (
                 sigma < 1e-150 and not finite_precision(sigma)):
-            raise SnapshotFormatError(f"snapshot line {5 + reader.line_num}: player {pid!r} has "
-                                      f"invalid sigma {sigma!r}, not positive with a finite "
+            raise SnapshotFormatError(f"snapshot line {line + reader.line_num}: player {pid!r} "
+                                      f"has invalid sigma {sigma!r}, not positive with a finite "
                                       f"sigma**-2")
         seen.add(pid)
         entries.append((pid, mu, sigma, games))
-    if len(entries) != count:
-        raise SnapshotFormatError(
-            f"expected {count} player rows, found {len(entries)}"
-        )
-    return RatingSnapshot(period, entries, hyper, config)
 
 
 def _expect(line: str, key: str) -> str:

@@ -57,7 +57,7 @@ class TestRate:
 
         loaded = store.read_snapshot_file(str(snap1))
         assert loaded.period == 2
-        assert all(games > 0 for games in loaded.games_played().values())
+        assert all(games > 0 for _, _, _, games in loaded.entries)
 
         snap2 = tmp_path / "after2.snapshot"
         assert run(["rate", "--games", per_period[2], "--snapshot", snap1,

@@ -331,7 +331,7 @@ class TestRunPeriod:
         sigma[:3] = CFG.sigma_cap, 0.8, 0.690
         advanced = sigma.copy()
         engine.filter_period(
-            engine._compile_period([], {}), np.array([f"p{k}" for k in range(sigma.size)]),
+            engine._compile_period([], [], {}), np.array([f"p{k}" for k in range(sigma.size)]),
             np.zeros(sigma.size), advanced, np.ones(sigma.size, dtype=bool), H2, CFG,
         )
         expected = [engine.advance_time(belief(0.0, s), H2, CFG).sigma for s in sigma.tolist()]

@@ -570,7 +570,7 @@ class TestEmptyPeriods:
         games = [dataclasses.replace(g, period=8) if g.period == 5 else g for g in games]
         shared = engine.compile_history(games, state, CFG)
         separate = dataclasses.replace(shared, periods=tuple(
-            engine._compile_period([], {}) if period.white.size == 0 else period
+            engine._compile_period([], [], {}) if period.white.size == 0 else period
             for period in shared.periods
         ))
         assert len({id(p) for p in shared.periods[3:7]}) == 1

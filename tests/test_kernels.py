@@ -127,6 +127,13 @@ def choose_delta_arrays(focal_mu, opp_mu, opp_sigma, outcome, color, h, draw_sco
     return delta1, delta2, p_obs
 
 
+def compile_period(games, index):
+    """``engine._compile_period`` of ``games`` with the outcome indices that
+    ``engine._valid_games`` hands over."""
+    valid, observed, _ = engine._valid_games(games)
+    return engine._compile_period(valid, observed, index)
+
+
 def choose_compile_period(games, index):
     """(focal, opp, outcome, color) directed terms with float outcomes."""
     white = np.array([index[g.white_id] for g in games], dtype=np.intp)
@@ -538,7 +545,7 @@ def _filter_both(games, ids, mu, sigma, h, cfg):
     each gives (mu, sigma, tracked, counts, sigma_post) or its error message."""
     index = {pid: k for k, pid in enumerate(ids)}
     results = []
-    for step, period in ((engine.filter_period, engine._compile_period(games, index)),
+    for step, period in ((engine.filter_period, compile_period(games, index)),
                          (choose_filter_period, choose_compile_period(games, index))):
         m, s, tracked = mu.copy(), sigma.copy(), np.zeros(len(mu), dtype=bool)
         try:
@@ -564,7 +571,7 @@ class TestCompiledPeriods:
         outcomes from both colours."""
         games = _all_outcomes_period()
         ids = sorted({g.white_id for g in games})
-        period = engine._compile_period(games, {pid: k for k, pid in enumerate(ids)})
+        period = compile_period(games, {pid: k for k, pid in enumerate(ids)})
         observed = np.array([model.outcome_index(g.outcome) for g in games])
         assert np.array_equal(period.observed, observed)
         assert period.observed.dtype == period.outcome.dtype == np.intp
@@ -594,7 +601,7 @@ class TestCompiledPeriods:
             assert np.array_equal(period.games, counts[counts > 0])
 
     def test_an_empty_period_has_no_players(self):
-        period = engine._compile_period([], {"a": 0, "b": 1})
+        period = compile_period([], {"a": 0, "b": 1})
         assert period.players.shape == period.games.shape == (0,)
         assert period.players.dtype == np.intp
 
@@ -603,12 +610,45 @@ class TestCompiledPeriods:
         position in ``players``."""
         ids = [f"p{k}" for k in range(6)]
         games = [store.GameRecord(1, "p4", "p1", 1.0), store.GameRecord(1, "p1", "p5", 0.5)]
-        period = engine._compile_period(games, {pid: k for k, pid in enumerate(ids)})
+        period = compile_period(games, {pid: k for k, pid in enumerate(ids)})
         assert period.players.tolist() == [1, 4, 5] and period.games.tolist() == [2, 1, 1]
         assert period.white.tolist() == [1, 0] and period.black.tolist() == [0, 2]
         assert period.focal.tolist() == [0, 0, 1, 2] and period.opp.tolist() == [1, 2, 0, 0]
         assert all(x.dtype == np.intp for x in (period.white, period.black, period.focal,
                                                  period.opp))
+
+    @staticmethod
+    def _assert_lexsort_order(games, ids):
+        """The directed terms in the order ``np.lexsort`` over (focal, opp,
+        descending outcome index, color) gives the unsorted terms."""
+        period = compile_period(games, {pid: k for k, pid in enumerate(ids)})
+        focal = np.concatenate([period.white, period.black])
+        opp = np.concatenate([period.black, period.white])
+        outcome = np.concatenate([period.observed, 2 - period.observed])
+        color = np.repeat([1.0, -1.0], len(games))
+        order = np.lexsort((color, -outcome, opp, focal))
+        for got, want in zip((period.focal, period.opp, period.outcome, period.color),
+                             (focal, opp, outcome, color)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want[order])
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                              st.sampled_from([1.0, 0.5, 0.0])), max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_terms_are_in_lexsort_order(self, rows):
+        """Six players at most, so pairings repeat and terms tie on every
+        key; two ids never play, so positions differ from indices."""
+        games = [store.GameRecord(1, f"p{w}", f"p{b}", y) for w, b, y in rows if w != b]
+        self._assert_lexsort_order(games, [f"p{k}" for k in range(8)])
+
+    def test_a_large_period_is_in_lexsort_order(self):
+        """2 000 games among 40 of 60 players."""
+        rng = np.random.default_rng(7)
+        pairs = rng.choice(40, size=(2_000, 2)) + 20
+        games = [store.GameRecord(1, f"p{w:02d}", f"p{b:02d}", float(y))
+                 for (w, b), y in zip(pairs.tolist(), rng.choice([1.0, 0.5, 0.0], 2_000))
+                 if w != b]
+        self._assert_lexsort_order(games, [f"p{k:02d}" for k in range(60)])
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_terms_keep_the_float_outcome_order(self, seed):
