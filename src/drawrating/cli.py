@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import hyperopt, model, oracle, simulate, store
-from .engine import DegenerateUpdateError, EngineConfig, PlayerBelief, rate_columns
+from .engine import DegenerateUpdateError, EngineConfig, rate_columns
 from .engine import run_period  # noqa: F401  re-exported; bench/layers.py traces it
 from .model import Hyperparameters
 
@@ -264,16 +264,9 @@ def cmd_validate(args) -> int:
     black = color_u >= 0.5
     p = hyperopt.predictive_probability_array(focal_mu, focal_sigma, opp_mu, opp_sigma, h)
     p = np.where(black[:, None], p[:, ::-1], p)  # from the focal player's side
-    outcome = np.array([model.WIN, model.DRAW, model.LOSS])[
-        (outcome_u[:, None] < p.cumsum(axis=1)).argmax(axis=1)
-    ]
-    games = [
-        (PlayerBelief("focal", fm, fs), PlayerBelief("opp", om, osd), y, -1 if b else 1)
-        for (fm, fs, om, osd), y, b in zip(
-            uniforms[:, :4].tolist(), outcome.tolist(), black.tolist()
-        )
-    ]
-
+    outcome = (outcome_u[:, None] < p.cumsum(axis=1)).argmax(axis=1)
+    games = oracle.GameColumns(focal_mu, focal_sigma, opp_mu, opp_sigma, outcome,
+                               np.where(black, -1.0, 1.0))
     report = oracle.compare_updates(games, h, cfg, order=args.order,
                                     stratify=args.stratify)
     text = report.to_delimited()

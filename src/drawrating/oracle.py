@@ -190,27 +190,31 @@ class ComparisonReport:
 
 def _r2_identity(approx: np.ndarray, reference: np.ndarray) -> float:
     """R^2 of approx against reference relative to the line y = x."""
-    resid = np.sum((approx - reference) ** 2)
-    total = np.sum((approx - approx.mean()) ** 2)
+    resid = np.add.reduce((approx - reference) ** 2)
+    total = np.add.reduce((approx - np.add.reduce(approx) / len(approx)) ** 2)
     if total == 0:
         return 1.0 if resid == 0 else 0.0
     return float(1.0 - resid / total)
 
 
 def _summarize(label, approx_dmu, oracle_dmu, approx_dlogsd, oracle_dlogsd):
+    # np.add.reduce(x) / n is np.mean(x) without its wrapper: the same pairwise
+    # sum and one division
+    n = len(approx_dmu)
     return ComparisonRow(
         label=label,
-        n=len(approx_dmu),
-        mean_abs_approx=float(np.mean(np.abs(approx_dmu))),
-        mean_abs_oracle=float(np.mean(np.abs(oracle_dmu))),
+        n=n,
+        mean_abs_approx=float(np.add.reduce(np.abs(approx_dmu)) / n),
+        mean_abs_oracle=float(np.add.reduce(np.abs(oracle_dmu)) / n),
         r2_mean=_r2_identity(approx_dmu, oracle_dmu),
-        mean_abs_diff=float(np.mean(np.abs(approx_dmu - oracle_dmu))),
+        mean_abs_diff=float(np.add.reduce(np.abs(approx_dmu - oracle_dmu)) / n),
         r2_log_sd=_r2_identity(approx_dlogsd, oracle_dlogsd),
     )
 
 
-#: ``math.log`` of each element; ``np.log`` differs from it in the last bit
-_log = np.vectorize(math.log, otypes=[float])
+def _log(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of each element; ``np.log`` differs from it in the last bit."""
+    return np.fromiter(map(math.log, x.tolist()), float, len(x))
 
 
 def _outcome_index_or_none(outcome):
@@ -220,8 +224,25 @@ def _outcome_index_or_none(outcome):
         return None
 
 
+@dataclass(frozen=True)
+class GameColumns:
+    """Games for ``compare_updates`` as 1-D columns, one element per game.
+
+    ``outcome`` is each game's outcome index from the focal player's side
+    (0 win, 1 draw, 2 loss, ``intp``); any other value is an invalid outcome.
+    ``color`` is the focal player's color, 1.0 white or -1.0 black.
+    """
+
+    focal_mu: np.ndarray
+    focal_sigma: np.ndarray
+    opp_mu: np.ndarray
+    opp_sigma: np.ndarray
+    outcome: np.ndarray
+    color: np.ndarray
+
+
 def compare_updates(
-    games: list,
+    games: list | GameColumns,
     h: Hyperparameters,
     cfg: EngineConfig,
     order: int = 9,
@@ -229,30 +250,35 @@ def compare_updates(
 ) -> ComparisonReport:
     """Compare fast single-game updates against the quadrature oracle.
 
-    ``games`` holds (focal, opponent, outcome, color) tuples.  A game is
-    excluded and counted, not fatal, where its outcome is invalid, a sigma
-    is not positive, the observed outcome has zero probability, the Newton
-    precision is not finite and positive, or the oracle mean is NaN, its
-    square overflows or the variance is not positive.  With ``stratify`` the
-    report additionally splits by outcome type and focal prior-mean terciles.
+    ``games`` is ``GameColumns`` or holds (focal, opponent, outcome, color)
+    tuples.  A game is excluded and counted, not fatal, where its outcome is
+    invalid, a sigma is not positive, the observed outcome has zero
+    probability, the Newton precision is not finite and positive, or the
+    oracle mean is NaN, its square overflows or the variance is not
+    positive.  With ``stratify`` the report additionally splits by outcome
+    type and focal prior-mean terciles.
     """
-    if not games:
+    if not isinstance(games, GameColumns):  # unzip the tuples; an invalid outcome is -1
+        focal, opponent, outcome, color = list(zip(*games)) or [()] * 4
+        games = GameColumns(
+            *(np.array([getattr(b, field) for b in beliefs])
+              for beliefs in (focal, opponent) for field in ("mu", "sigma")),
+            np.array([-1 if k is None else k for k in map(_outcome_index_or_none, outcome)],
+                     dtype=np.intp),
+            np.array(color, dtype=float),
+        )
+    n = len(games.focal_mu)
+    if not n:
         raise ValueError("game list must be nonempty")
     _check_order(order)
-    focal, opponent, outcome, color = zip(*games)
-    index = [_outcome_index_or_none(y) for y in outcome]
-    observed = np.array([k or 0 for k in index], dtype=np.intp)  # a stand-in win where invalid
-    focal_mu, focal_sigma, opp_mu, opp_sigma = (
-        np.array([getattr(b, field) for b in beliefs])
-        for beliefs, field in ((focal, "mu"), (focal, "sigma"),
-                               (opponent, "mu"), (opponent, "sigma"))
-    )
-    color = np.array(color, dtype=float)
-    d1, d2, p_obs = np.empty((3, len(games)))
+    focal_mu, focal_sigma, opp_mu, opp_sigma, outcome, color = vars(games).values()
+    valid = (outcome >= 0) & (outcome <= 2)
+    observed = np.where(valid, outcome, 0)  # a stand-in win where invalid
+    d1, d2, p_obs = np.empty((3, n))
     work = engine.Workspace()
     # each game's terms are computed alone, as in engine.filter_period, the
     # opponent nodes in row 2 of the kernel's block, overflowing silently as there
-    for part in engine.chunks(len(games), 10):
+    for part in engine.chunks(n, 10):
         with np.errstate(over="ignore", invalid="ignore"):
             nodes = engine.node_strengths(opp_mu[part], opp_sigma[part], engine._NODE_SIGNS,
                                           work.block("grid", (5, 2, part.stop - part.start))[2])
@@ -269,7 +295,7 @@ def compare_updates(
         precision = np.float_power(focal_sigma, -2.0) - d2  # as engine._newton_step
         squared = np.float_power(mean, 2.0)
         variance = second - squared  # a NaN variance is kept
-        keep = (np.array([k is not None for k in index]) & (focal_sigma > 0) & (opp_sigma > 0)
+        keep = (valid & (focal_sigma > 0) & (opp_sigma > 0)
                 & (p_obs > 0) & np.isfinite(precision) & (precision > 0) & ~np.isnan(mean)
                 & (np.isfinite(squared) | np.isinf(mean)) & ~(variance <= 0))
     mus, precision = focal_mu[keep], precision[keep]
@@ -281,7 +307,7 @@ def compare_updates(
     draws = observed[keep] == 1
 
     def select(label, mask):
-        if not np.any(mask):
+        if not mask.any():
             return None
         return _summarize(
             label, approx_dmu[mask], oracle_dmu[mask],
@@ -299,4 +325,4 @@ def compare_updates(
             (f"mu>{hi:.2f}", mus > hi),
         ]
         rows.extend(select(label, mask) for label, mask in strata)
-    return ComparisonReport([r for r in rows if r is not None], len(games) - int(keep.sum()))
+    return ComparisonReport([r for r in rows if r is not None], n - int(keep.sum()))

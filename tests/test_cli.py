@@ -286,6 +286,13 @@ class TestValidate:
         assert err.startswith("error: --order must be in 2..") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("games", [0, -3])
+    def test_no_games_is_one_error_and_writes_nothing(self, tmp_path, capsys, games):
+        out = tmp_path / "validation.csv"
+        assert run(["validate", "--games", games, "--out", out]) == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: game list must be nonempty\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 def _write_snapshot(path, mu=0.5):
     entries = [("anna", mu, 0.4, 3), ("bert", 1.0, 0.6, 5)]
@@ -369,6 +376,33 @@ class TestNoPartialOutput:
         assert err.startswith("error: ") and "invalid mu" in err and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "s.snapshot"]
 
+    @pytest.mark.parametrize("command", ["predict", "rate"])
+    def test_strengths_whose_sum_overflows_are_refused(self, tmp_path, capsys, command):
+        """Two finite means of -1e308 overflow the outcome model's sum of
+        strengths once alpha is not 0, so its probabilities are NaN: predict
+        refuses them as input, rate as a degenerate update."""
+        snap = tmp_path / "s.snapshot"
+        entries = [("anna", -1e308, 0.4, 3), ("bert", -1e308, 0.6, 5)]
+        store.write_snapshot_file(
+            store.RatingSnapshot(2, entries, model.DEFAULT_HYPERPARAMETERS, EngineConfig()),
+            str(snap),
+        )
+        inputs = tmp_path / "in.csv"
+        out_path = tmp_path / "out"
+        if command == "predict":
+            inputs.write_text("white,black\nanna,bert\n")
+            argv = ["predict", "--snapshot", snap, "--fixtures", inputs, "--out", out_path]
+            code, message = cli.EXIT_INPUT_ERROR, "non-finite outcome probabilities"
+        else:
+            inputs.write_text("period,white,black,result\n2,anna,bert,1\n")
+            argv = ["rate", "--games", inputs, "--snapshot", snap,
+                    "--out-snapshot", out_path, "--report", tmp_path / "report.csv"]
+            code, message = cli.EXIT_DEGENERATE, "non-positive posterior precision"
+        assert run([*argv, "--alpha0", 1]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("warning: --alpha0 1.0 overrides")
+        assert len(err) == 2 and err[1].startswith("error: ") and message in err[1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "s.snapshot"]
 
     def test_rate_with_an_unopenable_report_writes_no_snapshot(self, tmp_path, capsys):
         games = tmp_path / "g.csv"

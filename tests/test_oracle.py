@@ -11,6 +11,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drawrating import engine, model, oracle
 from drawrating.engine import EngineConfig, PlayerBelief
@@ -370,6 +372,109 @@ class TestCompareUpdatesReference:
             got = oracle.compare_updates(games, H2, CFG, stratify=True)
         assert got.rows == want.rows == []
         assert got.excluded == want.excluded == 6
+
+
+def columns_of(games):
+    """The ``GameColumns`` of (focal, opponent, outcome, color) tuples, with
+    the index -1 for an invalid outcome."""
+    index = [oracle._outcome_index_or_none(y) for _, _, y, _ in games]
+    return oracle.GameColumns(
+        np.array([f.mu for f, _, _, _ in games]),
+        np.array([f.sigma for f, _, _, _ in games]),
+        np.array([o.mu for _, o, _, _ in games]),
+        np.array([o.sigma for _, o, _, _ in games]),
+        np.array([-1 if k is None else k for k in index], dtype=np.intp),
+        np.array([c for _, _, _, c in games], dtype=float),
+    )
+
+
+_sigmas = st.one_of(st.floats(1e-3, 3.0), st.sampled_from([0.0, -1.0, 1e-160, 1e154, 1e308]))
+_games = st.lists(
+    st.tuples(
+        st.builds(_raw_belief, st.floats(-1e3, 1e3), _sigmas),
+        st.builds(_raw_belief, st.floats(-1e3, 1e3), _sigmas),
+        st.sampled_from([1.0, 0.5, 0.0, 0.7]),
+        st.sampled_from([1, -1]),
+    ),
+    min_size=1, max_size=12,
+)
+
+
+class TestGameColumns:
+    """``compare_updates`` on ``GameColumns`` gives the report of the same
+    games as tuples."""
+
+    @staticmethod
+    def assert_same_reports(games, h, cfg, order, stratify):
+        with np.errstate(all="ignore"):
+            want = oracle.compare_updates(games, h, cfg, order, stratify)
+            got = oracle.compare_updates(columns_of(games), h, cfg, order, stratify)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("stratify", [False, True])
+    @pytest.mark.parametrize("order", [2, 9])
+    @pytest.mark.parametrize("override", [True, False])
+    @pytest.mark.parametrize("h", EDGE_HYPERS)
+    def test_edge_games(self, h, override, order, stratify):
+        games = _random_games(20, order) + EDGE_GAMES
+        self.assert_same_reports(games, h, EngineConfig(draw_score_override=override),
+                                 order, stratify)
+
+    @settings(max_examples=60, deadline=None)
+    @given(games=_games, h=st.sampled_from(EDGE_HYPERS), override=st.booleans(),
+           order=st.sampled_from([2, 9]), stratify=st.booleans())
+    def test_drawn_games(self, games, h, override, order, stratify):
+        self.assert_same_reports(games, h, EngineConfig(draw_score_override=override),
+                                 order, stratify)
+
+    @pytest.mark.parametrize("bad", [3, -2])
+    def test_an_outcome_index_out_of_range_is_excluded(self, bad):
+        games = _random_games(12, 8)
+        columns = columns_of(games)
+        columns.outcome[[2, 7]] = bad
+        kept = columns_of(games[:2] + games[3:7] + games[8:])
+        report = oracle.compare_updates(columns, H2, CFG, stratify=True)
+        assert report.excluded == 2
+        assert report.rows == oracle.compare_updates(kept, H2, CFG, stratify=True).rows
+
+    def test_empty_columns_rejected_before_the_order(self):
+        empty = oracle.GameColumns(*[np.empty(0)] * 4, np.empty(0, dtype=np.intp), np.empty(0))
+        with pytest.raises(ValueError, match="game list must be nonempty"):
+            oracle.compare_updates(empty, H2, CFG, order=1)
+
+
+class TestLog:
+    def test_equals_math_log_bit_for_bit(self):
+        # with two values where np.log differs in the last bit (numpy 2.4, x86-64)
+        values = [5e-324, 1e-300, 0.5, 1e308, math.inf, math.nan,
+                  0.9760316524447805, 1.0063603195749762]
+        got = oracle._log(np.array(values))
+        assert got.dtype == np.float64
+        assert got.view(np.uint64).tolist() == \
+            np.array([math.log(v) for v in values]).view(np.uint64).tolist()
+
+    def test_no_input(self):
+        got = oracle._log(np.array([]))
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+
+class TestDirectReductions:
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 1000])
+    def test_the_summary_equals_the_numpy_wrappers_bit_for_bit(self, n):
+        """``np.mean`` and ``np.sum`` take the same pairwise sum, whose blocks
+        change at 8 and 128 elements."""
+        def r2(approx, reference):
+            resid = np.sum((approx - reference) ** 2)
+            total = np.sum((approx - approx.mean()) ** 2)
+            return (1.0 if resid == 0 else 0.0) if total == 0 else float(1.0 - resid / total)
+
+        rng = np.random.default_rng(n)
+        a_dmu, o_dmu, a_dlogsd, o_dlogsd = rng.normal(0.0, 1.0, (4, n))
+        want = oracle.ComparisonRow(
+            "all", n, float(np.mean(np.abs(a_dmu))), float(np.mean(np.abs(o_dmu))),
+            r2(a_dmu, o_dmu), float(np.mean(np.abs(a_dmu - o_dmu))), r2(a_dlogsd, o_dlogsd),
+        )
+        assert repr(oracle._summarize("all", a_dmu, o_dmu, a_dlogsd, o_dlogsd)) == repr(want)
 
 
 class TestWarmMomentsInAFreshInterpreter:
