@@ -7,10 +7,10 @@ period's *prior* snapshot, so all players can be processed independently;
 afterwards the innovation variance is added (subject to a growth cap) to
 form the next period's priors.
 
-Games are validated and compiled once into player-index arrays
-(``compile_history``); ``filter_period`` folds one compiled period into
-belief arrays in place.  ``rate_columns`` rates one period of games against
-belief columns, and ``run_period`` is its dict-in, dict-out form.
+Games are validated and compiled once into player-index arrays, for each
+period number with games (``compile_history``); ``filter_period`` folds one
+compiled period into belief arrays in place.  ``rate_columns`` compiles and
+filters one period against belief columns; ``run_period`` is its dict form.
 """
 
 from __future__ import annotations
@@ -390,20 +390,19 @@ class CompiledPeriod:
 
 @dataclass(frozen=True)
 class CompiledHistory:
-    """Valid games of periods 1..len(periods) over players in sorted id order.
-
-    ``mu``, ``sigma`` and ``tracked`` are the starting beliefs: players of
-    the initial state are tracked; every other player starts at the default
-    prior of ``cfg`` and is tracked from the period of their first valid
-    game.  Callers copy the starting arrays before filtering.  ``work`` is
-    the workspace of the passes over this history, so the history serves
-    one thread at a time.
+    """Valid games over players in sorted id order, one compiled period per
+    number in ``numbers``, the ascending period numbers with a game, valid or
+    not.  ``mu`` and ``sigma`` are the starting beliefs (callers copy them to
+    filter); ``source`` is each player's row in the initial columns, tracked
+    from the start, or -1 for one at the default prior, tracked from their
+    first valid game.  ``work`` serves the passes, so one thread at a time.
     """
 
     ids: np.ndarray  # object array
+    source: np.ndarray
     mu: np.ndarray
     sigma: np.ndarray
-    tracked: np.ndarray
+    numbers: tuple
     periods: tuple
     cfg: EngineConfig
     work: Workspace = field(default_factory=Workspace, compare=False, repr=False)
@@ -440,44 +439,37 @@ def _state_columns(state: dict):
     return list(state), [b.mu for b in beliefs], [b.sigma for b in beliefs]
 
 
-def _prior_columns(all_ids: list, ids, mu, sigma, cfg: EngineConfig):
-    """(source, mu, sigma) over ``all_ids``: each player's row in the columns
-    ``ids``/``mu``/``sigma``, or -1 and the default prior of ``cfg`` for a
-    player not in them."""
+def _compile_groups(groups: dict, ids, mu, sigma, cfg: EngineConfig):
+    """(history, 0-based rejects of each group) of ``groups``, ``{number: games}``
+    in ascending order, from the columns ``ids`` (unique), ``mu`` and ``sigma``."""
+    checked = [_valid_games(games) for games in groups.values()]
+    played = {pid for valid, _, _ in checked for g in valid for pid in (g.white_id, g.black_id)}
+    all_ids = sorted([*ids, *played.difference(ids)])  # quick on ids already sorted
     row = {pid: k for k, pid in enumerate(ids)}
     source = np.array([row.get(pid, -1) for pid in all_ids], dtype=np.intp)
     default = cfg.default_belief("")
-    # row -1 of each extended column is the default prior
-    return (source, np.append(np.asarray(mu, dtype=float), default.mu)[source],
-            np.append(np.asarray(sigma, dtype=float), default.sigma)[source])
+    index = {pid: k for k, pid in enumerate(all_ids)}
+    return CompiledHistory(
+        # row -1 of each extended column is the default prior
+        np.array(all_ids, dtype=object), source,
+        np.append(np.asarray(mu, dtype=float), default.mu)[source],
+        np.append(np.asarray(sigma, dtype=float), default.sigma)[source], tuple(groups),
+        tuple(_compile_period(valid, observed, index) for valid, observed, _ in checked), cfg,
+    ), [rejected for _, _, rejected in checked]
 
 
 def compile_history(games: list, initial_state: dict | None, cfg: EngineConfig) -> CompiledHistory:
     """Validate and index a multi-period game history once.
 
-    Invalid games are dropped, and so are games of periods below 1.
-    Periods without games share one compiled empty period, so a far period
-    number costs a tuple slot per period below it, not a compile.
+    Invalid games are dropped, and so are games of periods below 1.  Only
+    the period numbers with games are compiled, so a far number costs no
+    more than a near one.
     """
     grouped = games_by_period(games)
     if not grouped:
         raise ValueError("no games supplied")
-    state = initial_state or {}
-    valid = [_valid_games(grouped.get(period, []))[:2]
-             for period in range(1, max(grouped) + 1)]
-    players = set(state)
-    for period_games, _ in valid:
-        for g in period_games:
-            players.update((g.white_id, g.black_id))
-    ids = sorted(players)
-    index = {pid: k for k, pid in enumerate(ids)}
-    source, mu, sigma = _prior_columns(ids, *_state_columns(state), cfg)
-    empty = _compile_period([], [], index)
-    return CompiledHistory(
-        np.array(ids, dtype=object), mu, sigma, source >= 0,
-        tuple(_compile_period(period_games, observed, index) if period_games else empty
-              for period_games, observed in valid), cfg,
-    )
+    groups = {number: grouped[number] for number in sorted(grouped) if number >= 1}
+    return _compile_groups(groups, *_state_columns(initial_state or {}), cfg)[0]
 
 
 def period_priors(period: CompiledPeriod, mu, sigma, work: Workspace) -> np.ndarray:
@@ -498,8 +490,7 @@ def filter_period(period: CompiledPeriod, ids, mu, sigma, tracked, h: Hyperparam
     of two opponent nodes per term, which each chunk gathers from one table
     of the period's players' nodes, with its temporaries in ``work`` (a new
     workspace if not given); each player with a game takes one Newton step;
-    then every tracked player below the cap is advanced in time
-    (``advance_time``, vectorized bit for bit).
+    then every tracked player below the cap is advanced in time (``advance_sigma``).
     Returns the games per player and the posterior sd before the advance.
     """
     if work is None:
@@ -534,10 +525,21 @@ def filter_period(period: CompiledPeriod, ids, mu, sigma, tracked, h: Hyperparam
             np.bincount(period.focal, weights=d1), np.bincount(period.focal, weights=d2),
         )
     sigma_post = sigma.copy()
-    grow = tracked & (sigma < cfg.sigma_cap)
-    # float_power matches the scalar x**2 of advance_time; np.power does not
-    sigma[grow] = np.sqrt(np.float_power(sigma[grow], 2.0) + _innovation_variance(h))
+    advance_sigma(sigma, tracked, h, cfg)
     return counts, sigma_post
+
+
+def advance_sigma(sigma, tracked, h: Hyperparameters, cfg: EngineConfig, steps: int = 1):
+    """Advance the sds of the tracked players below the cap ``steps`` periods in
+    place (``advance_time`` vectorized bit for bit) until a step changes none: a gap
+    still costs one vector step per period until then, at a tiny tau all of it."""
+    for _ in range(steps):
+        grow = tracked & (sigma < cfg.sigma_cap)
+        # float_power matches the scalar x**2 of advance_time; np.power does not
+        after = np.sqrt(np.float_power(sigma[grow], 2.0) + _innovation_variance(h))
+        if steps > 1 and np.array_equal(after, sigma[grow]):
+            return
+        sigma[grow] = after
 
 
 @dataclass(frozen=True)
@@ -570,17 +572,12 @@ def rate_columns(ids, mu, sigma, games: list, h: Hyperparameters,
     of ``cfg`` and are tracked from then on.  Rejects carry 0-based positions
     in ``games``.
     """
-    valid, observed, rejected = _valid_games(games)
-    new = {pid for g in valid for pid in (g.white_id, g.black_id)}.difference(ids)
-    all_ids = sorted([*ids, *new])
-    source, mu_prior, sigma_prior = _prior_columns(all_ids, ids, mu, sigma, cfg)
-    period = _compile_period(valid, observed, {pid: k for k, pid in enumerate(all_ids)})
-    mu, sigma = mu_prior.copy(), sigma_prior.copy()
-    counts, sigma_post = filter_period(
-        period, np.array(all_ids, dtype=object), mu, sigma, source >= 0, h, cfg
-    )
-    return PeriodColumns(all_ids, source, mu_prior, sigma_prior, mu, sigma_post, sigma,
-                         counts, rejected)
+    history, (rejected,) = _compile_groups({1: games}, ids, mu, sigma, cfg)
+    mu, sigma = history.mu.copy(), history.sigma.copy()
+    counts, sigma_post = filter_period(history.periods[0], history.ids, mu, sigma,
+                                       history.source >= 0, h, cfg, history.work)
+    return PeriodColumns(history.ids.tolist(), history.source, history.mu, history.sigma,
+                         mu, sigma_post, sigma, counts, rejected)
 
 
 def run_period(

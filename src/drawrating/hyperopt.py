@@ -208,12 +208,12 @@ def evaluate_hyperparameters(
     Runs the filter over periods 1..train_until, then alternates scoring a
     period's games against the current priors with folding them in, exactly
     once per validation period; the last period is scored only, since
-    nothing reads the beliefs after it.  A run of empty periods stops being
-    filtered once one of them leaves sigma unchanged (every player at the
-    cap, or a tau too small to move it).  Future outcomes are never read
-    before their period is scored.  ``games`` is a game list or a history
-    compiled by ``engine.compile_history``, which already holds the initial
-    state.
+    nothing reads the beliefs after it.  A gap of periods without games
+    only advances sigma (``engine.advance_sigma``: a vector step per period
+    until sigma settles, at a tiny tau the whole gap), and each validation
+    period in it scores 0.0.  Future outcomes are never read before their
+    period is scored.  ``games`` is a game list or a history compiled by
+    ``engine.compile_history``, which already holds the initial state.
     """
     if isinstance(games, engine.CompiledHistory):
         if initial_state is not None:
@@ -223,17 +223,18 @@ def evaluate_hyperparameters(
         history = games
     else:
         history = engine.compile_history(games, initial_state, cfg)
-    last = len(history.periods)
+    last = history.numbers[-1] if history.numbers else 0
     if train_until >= last:
         raise ValueError(
             f"train_until ({train_until}) must precede the last period ({last})"
         )
-    mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
+    mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.source >= 0
     work = history.work
-    per_period = []
-    evaluated = 0
-    settled = False  # an empty period's time advance changed no sigma
-    for number, period in enumerate(history.periods, start=1):
+    per_period, evaluated = [], 0
+    for previous, number, period in zip((0, *history.numbers), history.numbers, history.periods):
+        engine.advance_sigma(sigma, tracked, h, cfg, number - previous - 1)
+        # a 0.0 for each validation period of the gap (none for a negative count)
+        per_period += [0.0] * (number - 1 - max(previous, train_until))
         n = len(period.white)
         if number > train_until:
             loglik = 0.0
@@ -249,12 +250,8 @@ def evaluate_hyperparameters(
                     loglik = float(np.log(p, out=p).sum())
             per_period.append(loglik)
             evaluated += n
-        # an empty period only advances sigma, so once an advance leaves every
-        # bit as it was, each empty period up to the next games is a no-op
-        if number < last and not (settled and not n):
-            _, sigma_post = engine.filter_period(period, history.ids, mu, sigma, tracked, h, cfg,
-                                                 work)
-            settled = not n and np.array_equal(sigma_post, sigma)
+        if number < last:
+            engine.filter_period(period, history.ids, mu, sigma, tracked, h, cfg, work)
     return PredictiveEvaluation(tuple(per_period), math.fsum(per_period), evaluated)
 
 

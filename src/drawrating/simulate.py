@@ -181,12 +181,12 @@ def recovery_experiment(
     league = simulate_league(cfg, true_h)
     state = initialize_priors(initial_ratings(league), engine_cfg)
     history = engine.compile_history(league.games, state, engine_cfg)
-    mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
+    mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.source >= 0
     truth = league.true_strengths[[int(pid[1:]) for pid in history.ids]]
     tracking = []
-    for t, period in enumerate(history.periods):
+    for number, period in zip(history.numbers, history.periods):
         engine.filter_period(period, history.ids, mu, sigma, tracked, true_h, engine_cfg)
-        tracking.append(float(np.mean(np.abs(mu[tracked] - truth[tracked, t]))))
+        tracking.append(float(np.mean(np.abs(mu[tracked] - truth[tracked, number - 1]))))
 
     fit = hyperopt.optimize(
         league.games,

@@ -74,6 +74,10 @@ def parse_games(stream) -> tuple[list[GameRecord], list[tuple[int, str]]]:
             continue
         period_text, white, black, result = map(str.strip, row)
         try:
+            # int reads 1_0 as 10 and other scripts' digits; without them it
+            # takes ASCII digits and a sign, up to its limit on digits
+            if not period_text.isascii() or "_" in period_text:
+                raise ValueError(period_text)
             period = int(period_text)
         except ValueError:
             rejects.append((line_no, f"bad period {period_text!r}"))

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -248,6 +249,37 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert err.startswith("warning: ratings line 2: ") and err.count("\n") == 1
         assert out.read_text().startswith("parameter,value\n")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS as Linux applies it")
+    def test_date_like_periods_fit_in_little_memory(self, league_files, tmp_path,
+                                                     fresh_python):
+        """The league in periods 20240101-20240103 fits in a child interpreter
+        under a 1.5 GB address-space limit, to the table of the same league in
+        periods 1-3.  A period axis with a slot per number from 1 would need
+        gigabytes and end in an out-of-memory error."""
+        _, games_path, _ = league_files
+        games, _ = store.read_games(str(games_path))
+        far = tmp_path / "far.csv"
+        with open(far, "w", newline="", encoding="utf-8") as fh:
+            store.write_games([dataclasses.replace(g, period=g.period + 20240100)
+                               for g in games], fh)
+        got = fresh_python(f"""
+            import contextlib, io, json, resource
+            from drawrating import cli
+
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["optimize", "--games", {str(far)!r},
+                                 "--train-until", "20240101"])
+            print(json.dumps({{"code": code, "out": out.getvalue(), "err": err.getvalue()}}))
+        """)
+        assert got["code"] == cli.EXIT_OK
+        assert "error:" not in got["err"]
+        fit = tmp_path / "fit.csv"
+        assert run(["optimize", "--games", games_path, "--train-until", 1, "--out", fit]) == \
+            cli.EXIT_OK
+        assert got["out"] == fit.read_text()
 
     @pytest.mark.parametrize("rows", ["p00000,2100\np00000,1900", "p00000,nan", "p00000,inf"])
     def test_unusable_ratings_exit_with_one_line(self, league_files, tmp_path, capsys, rows):

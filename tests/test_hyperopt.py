@@ -5,13 +5,18 @@ integration over both players' beliefs (4001-point grids, +/- 8 sd).
 """
 
 import dataclasses
+import itertools
 import math
 import sys
+import time
 import tracemalloc
+import unittest.mock
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drawrating import engine, hyperopt, model, simulate, store
 from drawrating.engine import EngineConfig, PlayerBelief
@@ -513,7 +518,7 @@ class TestReplayGuard:
         games, state = _guard_league()
         history = engine.compile_history(games, state, CFG)
         assert list(history.ids) == sorted(history.ids)
-        assert "p03" in history.ids and history.tracked.sum() == 20
+        assert "p03" in history.ids and (history.source >= 0).sum() == 20
         from_list = hyperopt.evaluate_hyperparameters(games, h, CFG, 2, state)
         compiled = hyperopt.evaluate_hyperparameters(history, h, CFG, 2)
         assert compiled == from_list
@@ -530,23 +535,62 @@ class TestReplayGuard:
             )
 
 
+def _dense_periods(history):
+    """(number, compiled period) for every number from 1 to the last of
+    ``history``: the dense period axis, with an explicitly compiled empty
+    period where a number has no games."""
+    compiled = dict(zip(history.numbers, history.periods))
+    empty = engine._compile_period([], [], {})
+    for number in range(1, history.numbers[-1] + 1):
+        yield number, compiled.get(number, empty)
+
+
 def _replay(history, h, train_until):
-    """The objective's repr and, after each period of a plain filter replay,
+    """The objective's repr and, after each number of a dense filter replay,
     (mu, sigma, tracked, counts, posterior sd)."""
     ev = hyperopt.evaluate_hyperparameters(history, h, CFG, train_until)
     states = []
-    mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
-    for period in history.periods:
+    mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.source >= 0
+    for _, period in _dense_periods(history):
         got = engine.filter_period(period, history.ids, mu, sigma, tracked, h, CFG)
         states.append((mu.copy(), sigma.copy(), tracked.copy(), *got))
     return repr((ev.total, ev.per_period_loglik)), states
 
 
-class TestEmptyPeriods:
-    """Periods without games share one compiled empty period; the filter
-    still advances sigma once per empty period."""
+def _filtered_states(history, h, train_until):
+    """repr((total, per_period_loglik)) of ``evaluate_hyperparameters`` and
+    {period number: (mu, sigma, tracked, counts, posterior sd)} after each of
+    its ``filter_period`` calls."""
+    numbers = {id(period): number for number, period in zip(history.numbers, history.periods)}
+    states, filter_period = {}, engine.filter_period
 
-    def test_a_far_period_compiles_one_empty_period(self):
+    def recorded(period, ids, mu, sigma, tracked, *args):
+        got = filter_period(period, ids, mu, sigma, tracked, *args)
+        states[numbers[id(period)]] = (mu.copy(), sigma.copy(), tracked.copy(), *got)
+        return got
+
+    with unittest.mock.patch.object(engine, "filter_period", recorded):
+        ev = hyperopt.evaluate_hyperparameters(history, h, CFG, train_until)
+    return repr((ev.total, ev.per_period_loglik)), states
+
+
+def _assert_matches_the_dense_replay(history, h, train_until):
+    """The evaluation equals the dense reference by repr, and its filtered
+    arrays equal the dense replay's after each compiled period but the last."""
+    got, got_states = _filtered_states(history, h, train_until)
+    _, want_states = _replay(history, h, train_until)
+    assert got == _per_period_objective(history, h, train_until)
+    assert sorted(got_states) == list(history.numbers[:-1])
+    for number, got_arrays in got_states.items():
+        assert all(map(np.array_equal, got_arrays, want_states[number - 1]))
+    return want_states
+
+
+class TestEmptyPeriods:
+    """Only the periods with games are compiled; between them the filter
+    still advances sigma once per period without games."""
+
+    def test_a_far_period_compiles_only_its_games(self):
         games = [GameRecord(1, "a", "b", 1.0), GameRecord(1, "b", "c", 0.5),
                  GameRecord(2, "a", "c", 0.0), GameRecord(100_000, "a", "b", 0.5)]
         tracemalloc.start()
@@ -555,35 +599,47 @@ class TestEmptyPeriods:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(history.periods) == 100_000
-        empty = [period for period in history.periods if period.white.size == 0]
-        assert len(empty) == 99_997
-        assert len({id(period) for period in empty}) == 1
+        assert history.numbers == (1, 2, 100_000)
+        assert [period.white.size for period in history.periods] == [2, 1, 1]
         assert peak < 20_000_000
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS as Linux applies it")
+    def test_a_date_like_period_compiles_in_little_memory(self, fresh_python):
+        """Games in periods 1, 2 and 20 240 101 compile with tracemalloc's
+        peak under 20 MB.  A compile that held a slot per period number would
+        need gigabytes, so the child runs under a 1.5 GB address-space limit
+        and fails instead of filling the memory."""
+        got = fresh_python("""
+            import json, resource, tracemalloc
+
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+            from drawrating import engine
+            from drawrating.store import GameRecord
+
+            games = [GameRecord(1, "a", "b", 1.0), GameRecord(1, "b", "c", 0.5),
+                     GameRecord(2, "a", "c", 0.0), GameRecord(20_240_101, "a", "b", 0.5)]
+            tracemalloc.start()
+            history = engine.compile_history(games, None, engine.EngineConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+            print(json.dumps({"peak": peak, "numbers": history.numbers}))
+        """)
+        assert got["numbers"] == [1, 2, 20_240_101]
+        assert got["peak"] < 20_000_000
+
     @pytest.mark.parametrize("h", GUARD_POINTS)
-    def test_a_shared_empty_period_filters_as_separate_ones(self, h):
+    def test_a_gap_filters_as_explicit_empty_periods(self, h):
         """Periods 4 to 7 of the guard league without games: the evaluation and
-        every filtered state equal those of a history whose empty periods are
-        compiled one by one."""
+        every filtered state equal those of the dense replay, whose empty
+        periods are compiled one by one."""
         games, state = _guard_league()
         games = [dataclasses.replace(g, period=8) if g.period == 5 else g for g in games]
-        shared = engine.compile_history(games, state, CFG)
-        separate = dataclasses.replace(shared, periods=tuple(
-            engine._compile_period([], [], {}) if period.white.size == 0 else period
-            for period in shared.periods
-        ))
-        assert len({id(p) for p in shared.periods[3:7]}) == 1
-        assert len({id(p) for p in separate.periods[3:7]}) == 4
+        history = engine.compile_history(games, state, CFG)
+        assert history.numbers == (1, 2, 3, 8)
 
-        want, want_states = _replay(separate, h, 2)
-        got, got_states = _replay(shared, h, 2)
-        assert got == want
-        for got_arrays, want_arrays in zip(got_states, want_states):
-            assert all(map(np.array_equal, got_arrays, want_arrays))
+        states = _assert_matches_the_dense_replay(history, h, 2)
         # each empty period advances sigma of exactly the tracked players
         # below the cap, and keeps every mean
-        for before, after in zip(got_states[2:6], got_states[3:7]):
+        for before, after in zip(states[2:6], states[3:7]):
             grows = before[2] & (before[1] < CFG.sigma_cap)
             assert np.array_equal(after[1] > before[1], grows)
             assert np.array_equal(after[0], before[0])
@@ -602,12 +658,13 @@ def observed_probability(white_mu, white_sigma, black_mu, black_sigma, observed,
 
 
 def _per_period_objective(history, h, train_until):
-    """repr((total, per_period_loglik)) of a plain replay that scores and
-    filters every period, empty or not."""
-    mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
+    """repr((total, per_period_loglik)) of a dense replay that scores and
+    filters every number's period, empty or not."""
+    mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.source >= 0
     per_period = []
     filter_period = engine.filter_period
-    for number, period in enumerate(history.periods, start=1):
+    last = history.numbers[-1]
+    for number, period in _dense_periods(history):
         if number > train_until:
             white, black = period.players[period.white], period.players[period.black]
             p = observed_probability(
@@ -615,56 +672,126 @@ def _per_period_objective(history, h, train_until):
             )
             with np.errstate(divide="ignore"):
                 per_period.append(float(np.log(p).sum()))
-        if number < len(history.periods):
+        if number < last:
             filter_period(period, history.ids, mu, sigma, tracked, h, CFG)
     return repr((math.fsum(per_period), tuple(per_period)))
 
 
+def _far_history(last):
+    return engine.compile_history(
+        [GameRecord(1, "a", "b", 1.0), GameRecord(1, "b", "c", 0.5),
+         GameRecord(2, "a", "c", 0.0), GameRecord(last, "a", "b", 0.5)], None, CFG)
+
+
 class TestSettledEmptyPeriods:
-    """A run of empty periods is filtered only until an advance leaves
-    sigma unchanged; the objective keeps every bit."""
+    """A gap is advanced only until a step leaves sigma unchanged; the
+    objective keeps every bit."""
 
     @staticmethod
-    def _counted(monkeypatch):
-        calls = []
-        filter_period = engine.filter_period
+    def _steps(monkeypatch):
+        """A list that gets an entry for each sigma step: each takes tau**2
+        from ``engine._innovation_variance`` once."""
+        steps, variance = [], engine._innovation_variance
 
-        def counted(*args):
-            calls.append(args[0])
-            return filter_period(*args)
+        def counted(h):
+            steps.append(h)
+            return variance(h)
 
-        monkeypatch.setattr(engine, "filter_period", counted)
-        return calls
+        monkeypatch.setattr(engine, "_innovation_variance", counted)
+        return steps
 
     def test_a_far_period_filters_few_periods(self, monkeypatch):
-        games = [GameRecord(1, "a", "b", 1.0), GameRecord(1, "b", "c", 0.5),
-                 GameRecord(2, "a", "c", 0.0), GameRecord(100_000, "a", "b", 0.5)]
-        history = engine.compile_history(games, None, CFG)
+        history = _far_history(100_000)
         want = _per_period_objective(history, H2, 1)
-        calls = self._counted(monkeypatch)
+        steps = self._steps(monkeypatch)
         ev = hyperopt.evaluate_hyperparameters(history, H2, CFG, 1)
-        assert repr((ev.total, ev.per_period_loglik)) == want
+        # the length first: pytest's diff of two long unequal reprs takes minutes
         assert len(ev.per_period_loglik) == 99_999
-        assert len(calls) < 100
+        assert repr((ev.total, ev.per_period_loglik)) == want
+        assert len(steps) < 100
+
+    def test_the_far_objective_is_pinned(self):
+        """The far history's objective as the dense period axis gave it, at
+        period 100 000 and 2 000 000."""
+        for last in (100_000, 2_000_000):
+            ev = hyperopt.evaluate_hyperparameters(_far_history(last), H2, CFG, 1)
+            assert repr(ev.total) == "-2.4787132561401757"
+            assert len(ev.per_period_loglik) == last - 1
+        ev = hyperopt.evaluate_hyperparameters(_far_history(2_000_000), H2, CFG, 1_999_999)
+        assert repr(ev.total) == "-0.5612054732970507"
+
+    def test_a_far_period_compiles_quickly(self):
+        start = time.perf_counter()
+        history = _far_history(2_000_000)
+        assert time.perf_counter() - start < 0.1
+        assert len(history.periods) == 3
 
     @pytest.mark.parametrize("tau,settles", [(0.0, True), (0.01, False), (0.14391, True)])
     def test_a_gap_between_rated_players_keeps_the_objective(self, monkeypatch, tau, settles):
         """The guard league with its last period moved 3 000 periods on:
         rated players below the cap sit through 3 001 empty periods.  At
         tau = 0.01 some of them are still below the cap when the gap ends,
-        so every period is filtered."""
+        so every period is stepped."""
         games, state = _guard_league()
         games = [dataclasses.replace(g, period=3005) if g.period == 5 else g for g in games]
         history = engine.compile_history(games, state, CFG)
         h = dataclasses.replace(H2, tau=tau)
         want = _per_period_objective(history, h, 2)
-        calls = self._counted(monkeypatch)
+        steps = self._steps(monkeypatch)
         ev = hyperopt.evaluate_hyperparameters(history, h, CFG, 2)
-        assert repr((ev.total, ev.per_period_loglik)) == want
+        # the length first: pytest's diff of two long unequal reprs takes minutes
         assert len(ev.per_period_loglik) == 3003
-        assert (len(calls) < 100) == settles
+        assert repr((ev.total, ev.per_period_loglik)) == want
+        assert (len(steps) < 100) == settles
         if not settles:
-            assert len(calls) == len(history.periods) - 1
+            assert len(steps) == history.numbers[-1] - 1
+
+
+@st.composite
+def _gapped_histories(draw):
+    """(games, initial state, train_until) over period numbers with a leading
+    gap, a gap before the last period and up to three gaps (possibly of no
+    period) between; one period before the last holds only invalid games,
+    one of them by a player who plays nowhere else."""
+    gaps = [draw(st.integers(1, 30)),
+            *draw(st.lists(st.integers(0, 30), min_size=1, max_size=3)),
+            draw(st.integers(1, 30))]
+    numbers = list(itertools.accumulate(gap + 1 for gap in gaps))
+    invalid = draw(st.integers(0, len(numbers) - 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = [f"p{k}" for k in range(6)]
+    state = {pid: belief(float(rng.normal(0.0, 1.0)), float(rng.uniform(0.05, 0.69)), pid)
+             for pid in ids[:3]}
+    state["p2"] = belief(state["p2"].mu, CFG.sigma_cap, "p2")
+    games = []
+    for k, number in enumerate(numbers):
+        if k == invalid:
+            games += [GameRecord(number, "p1", "p1", 1.0), GameRecord(number, "p4", "x", 0.25)]
+            continue
+        for _ in range(draw(st.integers(1, 4))):
+            white, black = rng.choice(ids, 2, replace=False)
+            games.append(GameRecord(number, str(white), str(black),
+                                    float(rng.choice([1.0, 0.5, 0.0]))))
+    return games, state, draw(st.integers(0, numbers[-1] - 1))
+
+
+class TestSparsePeriodAxis:
+    """``evaluate_hyperparameters`` on the compiled periods, with the gaps
+    between them only advanced, against the dense replay of every number."""
+
+    @given(_gapped_histories(), st.sampled_from([0.0, 0.01, 0.14391]))
+    @example(([GameRecord(3, "p0", "p1", 1.0), GameRecord(6, "p1", "p1", 1.0),
+               GameRecord(9, "p0", "p3", 0.5), GameRecord(12, "p1", "p3", 0.0)],
+              {"p0": belief(0.2, 0.3, "p0"), "p1": belief(-0.1, 0.5, "p1")}, 10), 0.01)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_dense_replay(self, history, tau):
+        """The example: a leading gap, an invalid-only period, a gap (numbers
+        10 and 11) that straddles train_until 10 just before the last period."""
+        games, state, train_until = history
+        compiled = engine.compile_history(games, state, CFG)
+        assert "x" not in compiled.ids
+        _assert_matches_the_dense_replay(
+            compiled, dataclasses.replace(H2, tau=tau), train_until)
 
 
 def _chunked_league(players, periods, games_per_period):

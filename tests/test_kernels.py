@@ -672,7 +672,7 @@ class TestCompiledPeriods:
         games, state = _league(1)
         history = engine.compile_history(games, state, cfg)
         index = {pid: k for k, pid in enumerate(history.ids)}
-        mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
+        mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.source >= 0
         ref_mu, ref_sigma, ref_tracked = mu.copy(), sigma.copy(), tracked.copy()
         for number, period in enumerate(history.periods, start=1):
             got = engine.filter_period(period, history.ids, mu, sigma, tracked, h, cfg)
@@ -864,7 +864,7 @@ def _both_ways(history, h, cfg, order):
     """Every period of ``history`` scored and filtered in turn through the
     node tables and through the per-game node formation; asserts that both
     give every bit alike, and returns the filtered states."""
-    mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.tracked.copy()
+    mu, sigma, tracked = history.mu.copy(), history.sigma.copy(), history.source >= 0
     ref_mu, ref_sigma, ref_tracked = mu.copy(), sigma.copy(), tracked.copy()
     for period in history.periods:
         players = period.players

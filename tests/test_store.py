@@ -6,6 +6,7 @@ import io
 import math
 import os
 import pickle
+import sys
 import tracemalloc
 import unittest.mock
 
@@ -36,6 +37,8 @@ class TestParseGames:
         ("1,a,b", "expected 4 fields"),
         ("x,a,b,1", "bad period"),
         ("0,a,b,1", "period must be >= 1"),
+        ("-1,a,b,1", "period must be >= 1, got -1"),
+        ("+0,a,b,1", "period must be >= 1, got 0"),
         ("1,,b,1", "empty player id"),
         ("1,a,a,1", "self-play"),
         ("1,a,b,2-0", "bad result"),
@@ -45,6 +48,27 @@ class TestParseGames:
         assert records == []
         assert len(rejects) == 1
         assert reason_part in rejects[0][1]
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "1\u0662", "\uff11", "\u00b9", "1.0",
+                                       "+-1", "--1", "+", ""])
+    def test_only_an_ascii_period_is_read(self, token):
+        """``int`` reads ``1_0`` as 10 and an Arabic-Indic or fullwidth one as
+        1; a period number is ASCII digits, with an optional sign."""
+        records, rejects = store.parse_games(io.StringIO(f"{token},a,b,1\n"))
+        assert records == []
+        assert rejects == [(1, f"bad period {token!r}")]
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int reads any number of digits")
+    def test_a_period_of_more_digits_than_int_reads_is_a_bad_period(self):
+        token = "1" * (sys.get_int_max_str_digits() + 1)
+        _, rejects = store.parse_games(io.StringIO(f"{token},a,b,1\n"))
+        assert rejects == [(1, f"bad period {token!r}")]
+
+    @pytest.mark.parametrize("token,period", [("7", 7), ("+7", 7), ("007", 7), (" 12 ", 12)])
+    def test_an_ascii_period_is_read(self, token, period):
+        records, rejects = store.parse_games(io.StringIO(f"{token},a,b,1\n"))
+        assert rejects == [] and [r.period for r in records] == [period]
 
     def test_bad_rows_do_not_abort(self):
         text = "1,a,b,1\n1,a,a,1\n1,c,d,0\n"
