@@ -131,33 +131,61 @@ def cmd_rate(args) -> int:
         )
 
     step = rate_columns(ids, mu, sigma, games, h, cfg)
-    elo_prior = model.latent_to_elo(step.mu_prior)
-    elo_post = model.latent_to_elo(step.mu_post)
-    counts = step.counts.tolist()
+    elo = _elo_columns(step)
     played = [*played, 0]  # row -1: a player new in this period
-    games_text = [str(played[k] + n) for k, n in zip(step.source.tolist(), counts)]
-    mu_post = list(map(repr, step.mu_post.tolist()))
-
-    def write_report(fh):
-        fixed = (map("{:.2f}".format, column.tolist()) for column in (
-            elo_prior, step.sigma_prior * model.ELO_SCALE,
-            elo_post, step.sigma_post * model.ELO_SCALE, elo_post - elo_prior,
-        ))
-        fh.write(_RATE_REPORT_HEADER)
-        fh.writelines(store.delimited_lines(
-            step.ids, map(str, counts), *fixed,
-            map(repr, step.mu_prior.tolist()), map(repr, step.sigma_prior.tolist()),
-            mu_post, map(repr, step.sigma_post.tolist()),
-        ))
-
+    games_text = (str(played[k] + n) for k, n in zip(step.source.tolist(), step.counts.tolist()))
+    mu_text = list(map(repr, step.mu_post.tolist()))
     with store.atomic_outputs(args.out_snapshot, args.report) as (snapshot_fh, report_fh):
-        store.write_snapshot(snapshot_fh, period + 1, h, cfg, step.ids, mu_post,
+        store.write_snapshot(snapshot_fh, period + 1, h, cfg, step.ids, mu_text,
                              map(repr, step.sigma_next.tolist()), games_text)
         if report_fh:
-            write_report(report_fh)
+            _write_report(report_fh, step, elo, mu_text)
     if not args.report:
-        write_report(sys.stdout)
+        _write_report(sys.stdout, step, elo, mu_text)
     return EXIT_OK
+
+
+def _elo_columns(step) -> tuple:
+    """The report's Elo rating and RD before and after the period, and the
+    change; a player with one of them not finite is refused by name."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.stack([step.mu_prior, step.sigma_prior, step.mu_post, step.sigma_post])
+        scaled *= model.ELO_SCALE
+        off = np.flatnonzero(~np.isfinite([*scaled, scaled[2] - scaled[0]]).all(axis=0))
+    if off.size:
+        k = off[0]
+        raise ValueError(f"player {step.ids[k]!r} has an Elo rating or RD that is not finite "
+                         f"(mu {step.mu_prior[k].item()!r}, sigma {step.sigma_prior[k].item()!r})")
+    elo_prior, elo_post = model.latent_to_elo(step.mu_prior), model.latent_to_elo(step.mu_post)
+    return elo_prior, scaled[1], elo_post, scaled[3], elo_post - elo_prior
+
+
+def _write_report(fh, step, elo, mu_text) -> None:
+    """The report from ``elo = _elo_columns(step)``, ``ROWS_PER_BLOCK`` players
+    at a time, each number formatted once.  A player with no game in the period
+    has a posterior equal to the prior bit for bit, so its posterior columns take
+    the prior's texts (the change ``0.00``), and both mu columns ``mu_text``."""
+    fixed = "{:.2f}".format
+    fh.write(_RATE_REPORT_HEADER)
+    for start in range(0, len(step.ids), store.ROWS_PER_BLOCK):
+        rows = slice(start, start + store.ROWS_PER_BLOCK)
+        active = np.flatnonzero(step.counts[rows])
+
+        def patched(text, column, fmt):
+            text = text.copy()
+            for k, value in zip(active.tolist(), map(fmt, column[rows][active].tolist())):
+                text[k] = value
+            return text
+
+        elo_prior, rd_prior = (list(map(fixed, c[rows].tolist())) for c in elo[:2])
+        sigma_prior, mu_post = list(map(repr, step.sigma_prior[rows].tolist())), mu_text[rows]
+        fh.writelines(store.delimited_lines(
+            step.ids[rows], patched(["0"] * len(mu_post), step.counts, str), elo_prior,
+            rd_prior, patched(elo_prior, elo[2], fixed), patched(rd_prior, elo[3], fixed),
+            patched(["0.00"] * len(mu_post), elo[4], fixed),
+            patched(mu_post, step.mu_prior, repr), sigma_prior, mu_post,
+            patched(sigma_prior, step.sigma_post, repr),
+        ))
 
 
 def cmd_predict(args) -> int:

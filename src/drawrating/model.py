@@ -277,12 +277,14 @@ def elo_to_latent(rating: float) -> float:
 
 
 def latent_to_elo(theta):
-    """Convert latent strength (a float or an array) back to the Elo scale."""
-    finite = np.isfinite(theta)
+    """Convert latent strength (a float or an array) to a finite Elo rating."""
+    with np.errstate(over="ignore"):
+        elo = ELO_CENTER + ELO_SCALE * theta
+    finite = np.isfinite(elo)
     if not finite.all():
         bad = float(np.ravel(theta)[~np.ravel(finite)][0])
-        raise ValueError(f"strength must be finite, got {bad}")
-    return ELO_CENTER + ELO_SCALE * theta
+        raise ValueError(f"strength {bad!r} has no finite Elo rating")
+    return elo
 
 
 def elo_sd_to_latent(sd: float) -> float:
