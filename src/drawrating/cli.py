@@ -30,69 +30,69 @@ _VALIDATE_LOW = np.array([-1.0, 0.2, -1.0, 0.2, 0.0, 0.0])
 _VALIDATE_HIGH = np.array([8.0, 1.2, 8.0, 1.2, 1.0, 1.0])
 
 
-_HYPERPARAMETER_FIELDS = ("alpha0", "alpha1", "beta0", "beta1", "tau")
-_CONFIG_FIELDS = ("sigma_cap", "default_prior_elo", "default_prior_sd_elo",
-                  "rated_prior_sd_elo")
-
 _RATE_REPORT_HEADER = ("player,games,elo_prior,rd_prior,elo_post,rd_post,elo_change,"
                        "mu_prior,sigma_prior,mu_post,sigma_post\n")
 
 
-def _add_hyperparameter_flags(parser):
+#: the hyperparameters of the outcome model, all but the innovation sd tau
+_OUTCOME_FIELDS = ("alpha0", "alpha1", "beta0", "beta1")
+_FLAG_HELP = {
+    "alpha0": "white-advantage intercept",
+    "alpha1": "white-advantage slope in average strength",
+    "beta0": "draw intercept",
+    "beta1": "draw slope in average strength",
+    "tau": "innovation standard deviation per period",
+    "sigma_cap": "rating-deviation growth cap (latent units)",
+    "draw_score_override": "use the model's own draw score instead of 1/2",
+}
+
+
+def _flag(name: str) -> str:
+    """The flag of a settings field; the one switch, on by default, turns it off."""
+    return "--no-draw-override" if name == "draw_score_override" else f"--{name.replace('_', '-')}"
+
+
+def _add_settings_flags(parser, cls, *names) -> None:
+    """A flag for each field of ``cls`` (``Hyperparameters`` or
+    ``EngineConfig``) in ``names``, or for every field without names, in
+    field order; the parsed value is ``None`` where the flag is not given."""
     group = parser.add_argument_group(
-        "hyperparameters",
-        "a flag not given takes the snapshot's value, or else the deployed value",
+        "hyperparameters" if cls is Hyperparameters else "engine configuration",
+        "a flag not given takes the snapshot's value where the command reads one, "
+        "or else the default",
     )
-    group.add_argument("--alpha0", type=float, help="white-advantage intercept")
-    group.add_argument("--alpha1", type=float,
-                       help="white-advantage slope in average strength")
-    group.add_argument("--beta0", type=float, help="draw intercept")
-    group.add_argument("--beta1", type=float, help="draw slope in average strength")
-    group.add_argument("--tau", type=float, help="innovation standard deviation per period")
+    for field in dataclasses.fields(cls):
+        if names and field.name not in names:
+            continue
+        if isinstance(field.default, bool):
+            group.add_argument(_flag(field.name), dest=field.name, action="store_const",
+                               const=not field.default, help=_FLAG_HELP.get(field.name))
+        else:
+            group.add_argument(_flag(field.name), dest=field.name, type=float,
+                               help=_FLAG_HELP.get(field.name))
 
 
-def _add_config_flags(parser):
-    group = parser.add_argument_group(
-        "engine configuration",
-        "a flag not given takes the snapshot's value, or else the engine default",
-    )
-    group.add_argument("--sigma-cap", type=float,
-                       help="rating-deviation growth cap (latent units)")
-    group.add_argument("--no-draw-override", action="store_true", default=None,
-                       help="use the model's own draw score instead of 1/2")
-    group.add_argument("--default-prior-elo", type=float)
-    group.add_argument("--default-prior-sd-elo", type=float)
-    group.add_argument("--rated-prior-sd-elo", type=float)
-
-
-def _override(stored, given: dict, from_snapshot: bool):
-    """``stored`` with the flag values ``given``; where ``stored`` came from a
-    snapshot, each given value that differs from it is reported."""
-    for name, value in given.items():
-        kept = getattr(stored, name)
-        if from_snapshot and value != kept:
-            flag = ("--no-draw-override" if name == "draw_score_override"
-                    else f"--{name.replace('_', '-')} {value!r}")
+def _settings(cls, args, snapshot=None):
+    """A ``cls`` (``Hyperparameters`` or ``EngineConfig``) from the flags
+    given, then the snapshot's values, then the defaults; each given flag
+    whose value differs from the snapshot's is reported."""
+    stored = cls() if snapshot is None else (
+        snapshot.hyperparameters if cls is Hyperparameters else snapshot.config)
+    given = {}
+    for field in dataclasses.fields(cls):
+        value = getattr(args, field.name, None)
+        if value is None:
+            continue
+        kept = getattr(stored, field.name)
+        if snapshot is not None and value != kept:
+            flag = _flag(field.name) + ("" if isinstance(value, bool) else f" {value!r}")
             print(f"warning: {flag} overrides snapshot value {kept!r}", file=sys.stderr)
+        given[field.name] = value
     return dataclasses.replace(stored, **given)
 
 
-def _hyperparameters(args, snapshot=None) -> Hyperparameters:
-    """The flags given, then the snapshot's values, then the deployed values."""
-    given = {name: getattr(args, name) for name in _HYPERPARAMETER_FIELDS
-             if getattr(args, name) is not None}
-    stored = snapshot.hyperparameters if snapshot else model.DEFAULT_HYPERPARAMETERS
-    return _override(stored, given, snapshot is not None)
-
-
-def _config(args, snapshot=None) -> EngineConfig:
-    """The flags given, then the snapshot's config, then ``EngineConfig()``."""
-    given = {name: getattr(args, name) for name in _CONFIG_FIELDS
-             if getattr(args, name) is not None}
-    if args.no_draw_override:
-        given["draw_score_override"] = False
-    return _override(snapshot.config if snapshot else EngineConfig(), given,
-                     snapshot is not None)
+_hyperparameters = functools.partial(_settings, Hyperparameters)
+_config = functools.partial(_settings, EngineConfig)
 
 
 def _check_order(order, lowest):
@@ -126,9 +126,8 @@ def cmd_rate(args) -> int:
     if len(periods) > 1:
         raise ValueError(f"rate expects a single period per file, got {sorted(periods)}")
     if periods and periods != {period}:
-        raise ValueError(
-            f"games are for period {periods.pop()}, snapshot expects {period}"
-        )
+        expected = "snapshot expects" if snapshot else "a fresh start expects period"
+        raise ValueError(f"games are for period {periods.pop()}, {expected} {period}")
 
     step = rate_columns(ids, mu, sigma, games, h, cfg)
     elo = _elo_columns(step)
@@ -205,6 +204,7 @@ def cmd_predict(args) -> int:
             k = len(mu)
             mu.append(default.mu)
             sigma.append(default.sigma)
+            index[pid] = k
         return k
 
     fixtures, rows = [], []
@@ -268,8 +268,8 @@ def cmd_optimize(args) -> int:
             trace_fh.write(trace.to_delimited())
         fh = out_fh or sys.stdout
         fh.write("parameter,value\n")
-        for name in _HYPERPARAMETER_FIELDS:
-            fh.write(f"{name},{getattr(b, name)!r}\n")
+        for name, value in dataclasses.asdict(b).items():
+            fh.write(f"{name},{value!r}\n")
         fh.write(f"objective,{result.objective!r}\n")
         fh.write(f"evaluations,{result.evaluations}\n")
         fh.write(f"converged,{int(result.converged)}\n")
@@ -343,16 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--snapshot", help="input rating snapshot (omit to start fresh)")
     rate.add_argument("--out-snapshot", required=True)
     rate.add_argument("--report", help="per-player update report CSV (default stdout)")
-    _add_hyperparameter_flags(rate)
-    _add_config_flags(rate)
+    # every setting: each is written into the snapshot
+    _add_settings_flags(rate, Hyperparameters)
+    _add_settings_flags(rate, EngineConfig)
 
     predict = sub.add_parser("predict", help="outcome probabilities for fixtures")
     predict.add_argument("--snapshot", required=True)
     predict.add_argument("--fixtures", required=True, help="CSV of white,black pairs")
     predict.add_argument("--out")
     predict.add_argument("--order", type=int, default=3, help="quadrature order")
-    _add_hyperparameter_flags(predict)
-    _add_config_flags(predict)
+    # the outcome model, and the prior of a player the snapshot does not hold
+    _add_settings_flags(predict, Hyperparameters, *_OUTCOME_FIELDS)
+    _add_settings_flags(predict, EngineConfig, "default_prior_elo", "default_prior_sd_elo")
 
     optimize = sub.add_parser("optimize", help="tune hyperparameters on game history")
     optimize.add_argument("--games", required=True)
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also optimize the white-advantage parameters")
     optimize.add_argument("--trace", help="write the evaluation trace CSV here")
     optimize.add_argument("--out")
-    _add_config_flags(optimize)
+    _add_settings_flags(optimize, EngineConfig)
 
     validate = sub.add_parser(
         "validate", help="compare fast updates against the quadrature oracle"
@@ -373,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--order", type=int, default=9)
     validate.add_argument("--stratify", action="store_true")
     validate.add_argument("--out")
-    _add_hyperparameter_flags(validate)
-    _add_config_flags(validate)
+    # one Newton step per game, scored by the outcome model
+    _add_settings_flags(validate, Hyperparameters, *_OUTCOME_FIELDS)
+    _add_settings_flags(validate, EngineConfig, "draw_score_override")
 
     sim = sub.add_parser("simulate", help="generate a synthetic league")
     sim.add_argument("--players", type=int, required=True)
@@ -387,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out-games", required=True)
     sim.add_argument("--out-strengths")
-    _add_hyperparameter_flags(sim)
+    _add_settings_flags(sim, Hyperparameters)
 
     return parser
 

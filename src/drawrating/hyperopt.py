@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .model import Hyperparameters
 SPREAD_TOL = 1e-6
 #: Hard budget of objective evaluations per start.
 MAX_EVALUATIONS = 2000
+#: Gauss-Hermite order per player of the predictive score's tensor grid.
+SCORE_ORDER = 3
 
 
 @dataclass(frozen=True)
@@ -59,12 +61,12 @@ class TraceRecorder:
         self.rows.append((len(self.rows), h, objective))
 
     def to_delimited(self) -> str:
-        lines = ["evaluation,alpha0,alpha1,beta0,beta1,tau,objective"]
+        """The rows under an ``evaluation,<hyperparameters>,objective`` header,
+        the hyperparameters in field order."""
+        lines = [",".join(["evaluation", *(f.name for f in fields(Hyperparameters)),
+                           "objective"])]
         for i, h, obj in self.rows:
-            lines.append(",".join([
-                str(i), repr(h.alpha0), repr(h.alpha1),
-                repr(h.beta0), repr(h.beta1), repr(h.tau), repr(obj),
-            ]))
+            lines.append(",".join([str(i), *map(repr, astuple(h)), repr(obj)]))
         return "\n".join(lines) + "\n"
 
 
@@ -201,7 +203,6 @@ def evaluate_hyperparameters(
     cfg: EngineConfig,
     train_until: int,
     initial_state: dict | None = None,
-    order: int = 3,
 ) -> PredictiveEvaluation:
     """Cumulative one-step-ahead predictive log-likelihood.
 
@@ -241,11 +242,11 @@ def evaluate_hyperparameters(
             if n:
                 # mu + (sqrt(2) sigma) node of each of the period's players
                 table = engine.node_strengths(
-                    *engine.period_priors(period, mu, sigma, work), _node_columns(order)[0],
-                    work.block("table", (order, period.players.size)), math.sqrt(2.0),
+                    *engine.period_priors(period, mu, sigma, work), _node_columns(SCORE_ORDER)[0],
+                    work.block("table", (SCORE_ORDER, period.players.size)), math.sqrt(2.0),
                 )
                 p = _observed_probability(table, period.white, period.black, period.observed,
-                                          h, order, work)
+                                          h, SCORE_ORDER, work)
                 with np.errstate(divide="ignore"):  # an underflown outcome scores -inf
                     loglik = float(np.log(p, out=p).sum())
             per_period.append(loglik)

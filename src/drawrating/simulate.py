@@ -150,18 +150,17 @@ def simulate_league(cfg: LeagueConfig, h: Hyperparameters) -> SimulatedLeague:
     return SimulatedLeague(cfg, strengths, simulate_games(strengths, cfg, h))
 
 
-def initial_ratings(
-    league: SimulatedLeague, noise_sd_elo: float = 100.0, seed: int | None = None
-) -> list[tuple[str, float]]:
-    """Noisy Elo-scale ratings of the first-period strengths.
+def initial_ratings(league: SimulatedLeague) -> list[tuple[str, float]]:
+    """Elo-scale ratings of the first-period strengths, with normal noise of
+    sd 100 Elo drawn from the league's seed plus one.
 
     Stands in for the pre-existing rating list a real federation would seed
     the engine with.
     """
     cfg = league.config
-    rng = np.random.default_rng(cfg.seed + 1 if seed is None else seed)
+    rng = np.random.default_rng(cfg.seed + 1)
     elo = model.ELO_CENTER + model.ELO_SCALE * league.true_strengths[:, 0]
-    elo = elo + rng.normal(0.0, noise_sd_elo, cfg.players)
+    elo = elo + rng.normal(0.0, 100.0, cfg.players)
     return [(player_name(i), float(elo[i])) for i in range(cfg.players)]
 
 

@@ -15,7 +15,7 @@ import itertools
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from . import model
 from .engine import EngineConfig, PlayerBelief, finite_precision
@@ -179,16 +179,10 @@ def write_snapshot(stream, period: int, h: Hyperparameters, cfg: EngineConfig,
     per player from text columns (``repr`` of each float, the games count)."""
     stream.write(f"{SNAPSHOT_MAGIC} v{SNAPSHOT_VERSION}\n")
     stream.write(f"period {period}\n")
-    stream.write(
-        "hyperparameters "
-        f"{h.alpha0!r} {h.alpha1!r} {h.beta0!r} {h.beta1!r} {h.tau!r}\n"
-    )
-    stream.write(
-        "config "
-        f"{cfg.sigma_cap!r} {int(cfg.draw_score_override)} "
-        f"{cfg.default_prior_elo!r} {cfg.default_prior_sd_elo!r} "
-        f"{cfg.rated_prior_sd_elo!r}\n"
-    )
+    for key, settings in (("hyperparameters", h), ("config", cfg)):
+        # in field order: the repr of a float, 0 or 1 for a switch
+        stream.write(" ".join([key, *(str(int(v)) if isinstance(v, bool) else repr(v)
+                                      for v in astuple(settings))]) + "\n")
     stream.write(f"players {len(ids)}\n")
     stream.writelines(delimited_lines(ids, mu_text, sigma_text, games_text))
 
@@ -220,20 +214,9 @@ def load_snapshot(stream) -> RatingSnapshot:
         )
     try:
         period = int(_expect(next_line(), "period"))
-        h_parts = [float(v) for v in _expect(next_line(), "hyperparameters").split()]
-        c_parts = _expect(next_line(), "config").split()
+        hyper = _settings(Hyperparameters, next_line(), "hyperparameters")
+        config = _settings(EngineConfig, next_line(), "config")
         count = int(_expect(next_line(), "players"))
-        if len(h_parts) != 5 or len(c_parts) != 5 or c_parts[1] not in ("0", "1"):
-            raise SnapshotFormatError("expected 5 hyperparameters and 5 config values, "
-                                      "with a draw override flag of 0 or 1")
-        hyper = Hyperparameters(*h_parts)
-        config = EngineConfig(
-            sigma_cap=float(c_parts[0]),
-            draw_score_override=c_parts[1] == "1",
-            default_prior_elo=float(c_parts[2]),
-            default_prior_sd_elo=float(c_parts[3]),
-            rated_prior_sd_elo=float(c_parts[4]),
-        )
     except ValueError as exc:
         raise SnapshotFormatError(f"malformed snapshot header: {exc}") from exc
 
@@ -331,6 +314,18 @@ def _read_rows(lines, count: int, entries: list, seen: set, line: int) -> None:
         entries.append((pid, mu, sigma, games))
 
 
+def _settings(cls, line: str, key: str):
+    """A ``cls`` (``Hyperparameters`` or ``EngineConfig``) from its header
+    line ``key v1 v2 ...``, as ``write_snapshot`` writes it."""
+    names, values = fields(cls), _expect(line, key).split()
+    if len(values) != len(names) or any(isinstance(f.default, bool) and v not in ("0", "1")
+                                        for f, v in zip(names, values)):
+        raise SnapshotFormatError(f"expected {len(names)} {key} values, with a switch "
+                                  f"of 0 or 1, got {line!r}")
+    return cls(*(v == "1" if isinstance(f.default, bool) else float(v)
+                 for f, v in zip(names, values)))
+
+
 def _expect(line: str, key: str) -> str:
     if not line.startswith(key + " "):
         raise SnapshotFormatError(f"expected {key!r} line, got {line!r}")
@@ -338,18 +333,18 @@ def _expect(line: str, key: str) -> str:
 
 
 @contextlib.contextmanager
-def atomic_output(path: str, prefix: str = ".partial-"):
+def atomic_output(path: str):
     """Text stream whose content replaces ``path`` only if the block completes.
 
-    It writes a temp file in the target directory and renames it over
-    ``path`` at the end; on any error the temp file is removed and ``path``
-    is left as it was.  A directory at ``path`` is refused before anything is
-    written.  The file gets the mode a plain ``open`` would give.
+    It writes a ``.partial-`` temp file in the target directory and renames
+    it over ``path`` at the end; on any error the temp file is removed and
+    ``path`` is left as it was.  A directory at ``path`` is refused before
+    anything is written.  The file gets the mode a plain ``open`` would give.
     """
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             umask = os.umask(0)
@@ -381,7 +376,7 @@ def atomic_outputs(*paths):
 
 def write_snapshot_file(snapshot: RatingSnapshot, path: str) -> None:
     """Atomic write: temp file in the target directory, then rename."""
-    with atomic_output(path, prefix=".snapshot-") as fh:
+    with atomic_output(path) as fh:
         save_snapshot(snapshot, fh)
 
 

@@ -75,6 +75,14 @@ class TestRate:
         assert code == cli.EXIT_INPUT_ERROR
         assert "period" in capsys.readouterr().err
 
+    def test_a_fresh_start_names_no_snapshot_in_its_period_error(self, league_files, capsys):
+        tmp_path, _, per_period = league_files
+        code = run(["rate", "--games", per_period[2], "--out-snapshot", tmp_path / "x.snapshot"])
+        assert code == cli.EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "error: games are for period 2, a fresh start expects period 1\n")
+        assert not (tmp_path / "x.snapshot").exists()
+
     def test_multi_period_file_rejected(self, league_files, capsys):
         tmp_path, games_path, _ = league_files
         code = run(["rate", "--games", games_path,
@@ -163,6 +171,23 @@ class TestPredict:
             p = [float(v) for v in fields[2:5]]
             assert sum(p) == pytest.approx(1.0, abs=1e-12)
             assert float(fields[5]) == pytest.approx(p[0] / (p[0] + p[2]))
+
+    def test_an_unknown_player_is_reported_once(self, tmp_path, capsys):
+        """A player the snapshot does not hold gets one default-prior row and
+        one warning, however many fixtures name it."""
+        snap = tmp_path / "s.snapshot"
+        _write_snapshot(snap)
+        fixtures = tmp_path / "f.csv"
+        fixtures.write_text("white,black\nzz,anna\nbert,zz\nzz,yy\nyy,anna\n")
+        out_path = tmp_path / "pred.csv"
+        assert run(["predict", "--snapshot", snap, "--fixtures", fixtures,
+                    "--out", out_path]) == cli.EXIT_OK
+        assert capsys.readouterr().err == (
+            "warning: unknown player 'zz', using default prior\n"
+            "warning: unknown player 'yy', using default prior\n")
+        rows = list(csv.reader(out_path.read_text().splitlines()))[1:]
+        # both strangers hold the default prior
+        assert rows[0][2:] == rows[3][2:]
 
     def test_an_id_with_a_lone_carriage_return_reads_back(self, tmp_path, capsys):
         """csv.writer left the id bare, and csv.reader split its row in two."""
@@ -702,7 +727,7 @@ class TestSnapshotSettings:
                     "--out", implicit]) == cli.EXIT_OK
         assert "overrides" not in capsys.readouterr().err
         assert run(["predict", "--snapshot", snap, "--fixtures", fixtures,
-                    "--out", explicit, "--tau", 0.5, "--beta1", 0.9]) == cli.EXIT_OK
+                    "--out", explicit, "--beta1", 0.9]) == cli.EXIT_OK
         assert "overrides" not in capsys.readouterr().err
         assert implicit.read_bytes() == explicit.read_bytes()
         assert run(["predict", "--snapshot", snap, "--fixtures", fixtures,
@@ -818,11 +843,13 @@ class TestExtremeSimulateFlags:
                 assert os.listdir(tmp) == []
 
 
-#: Float flags of ``rate``, ``predict`` and ``validate``; ``optimize`` takes the
-#: config flags only.
-_HYPERPARAMETER_FLOATS = ("--alpha0", "--alpha1", "--beta0", "--beta1", "--tau")
+#: Float flags of ``rate``; ``optimize`` takes the config flags only,
+#: ``validate`` the outcome model's, and ``predict`` those and the default prior's.
+_OUTCOME_FLOATS = ("--alpha0", "--alpha1", "--beta0", "--beta1")
+_HYPERPARAMETER_FLOATS = _OUTCOME_FLOATS + ("--tau",)
 _CONFIG_FLOATS = ("--sigma-cap", "--default-prior-elo", "--default-prior-sd-elo",
                   "--rated-prior-sd-elo")
+_PREDICT_FLOATS = _OUTCOME_FLOATS + ("--default-prior-elo", "--default-prior-sd-elo")
 
 
 def _rows(path):
@@ -874,10 +901,10 @@ class TestExtremeFloatFlags:
         "rate --snapshot": (_HYPERPARAMETER_FLOATS + _CONFIG_FLOATS,
                             ["rate", "--games", "period2.csv", "--snapshot", "in.snapshot",
                              "--out-snapshot", "out.snapshot", "--report", "report.csv"]),
-        "predict": (_HYPERPARAMETER_FLOATS + _CONFIG_FLOATS,
+        "predict": (_PREDICT_FLOATS,
                     ["predict", "--snapshot", "in.snapshot", "--fixtures", "fixtures.csv",
                      "--out", "predictions.csv"]),
-        "validate": (_HYPERPARAMETER_FLOATS + _CONFIG_FLOATS,
+        "validate": (_OUTCOME_FLOATS,
                      ["validate", "--games", "20", "--seed", "3", "--stratify", "--order", "5",
                       "--out", "validation.csv"]),
         "optimize": (_CONFIG_FLOATS,
@@ -967,9 +994,9 @@ class TestSeparateFloatValues:
     }
     FLOATS = {
         "rate": _HYPERPARAMETER_FLOATS + _CONFIG_FLOATS,
-        "predict": _HYPERPARAMETER_FLOATS + _CONFIG_FLOATS,
+        "predict": _PREDICT_FLOATS,
         "optimize": _CONFIG_FLOATS,
-        "validate": _HYPERPARAMETER_FLOATS + _CONFIG_FLOATS,
+        "validate": _OUTCOME_FLOATS,
         "simulate": _HYPERPARAMETER_FLOATS + ("--initial-mean", "--initial-sd"),
     }
 
@@ -1034,6 +1061,63 @@ def test_config_flag_defaults_are_engine_defaults(command):
     }[command]
     args = cli.build_parser().parse_args([command] + required)
     assert cli._config(args) == EngineConfig()
+
+
+class TestEverySettingsFlagIsRead:
+    """Each settings flag that a command accepts changes an output byte at a
+    valid value other than the default (for ``rate``, the written snapshot,
+    which stores every setting); each one it would not read is refused."""
+
+    VALUES = {"--alpha0": ["0.3"], "--alpha1": ["0.2"], "--beta0": ["0.5"], "--beta1": ["0.6"],
+              "--tau": ["0.3"], "--sigma-cap": ["0.4"], "--no-draw-override": [],
+              "--default-prior-elo": ["1500"], "--default-prior-sd-elo": ["150"],
+              "--rated-prior-sd-elo": ["50"]}
+    OUTCOME = {"--alpha0", "--alpha1", "--beta0", "--beta1"}
+    ENGINE = {"--sigma-cap", "--no-draw-override", "--default-prior-elo",
+              "--default-prior-sd-elo", "--rated-prior-sd-elo"}
+    # (argv, outputs, the settings flags accepted)
+    COMMANDS = {
+        "rate": (["rate", "--games", "period1.csv", "--out-snapshot", "out.snapshot",
+                  "--report", "report.csv"], ["out.snapshot"], set(VALUES)),
+        "predict": (["predict", "--snapshot", "in.snapshot", "--fixtures", "fixtures.csv",
+                     "--out", "predictions.csv"], ["predictions.csv"],
+                    OUTCOME | {"--default-prior-elo", "--default-prior-sd-elo"}),
+        "optimize": (["optimize", "--games", "games.csv", "--train-until", "1",
+                      "--ratings", "ratings.csv", "--out", "fit.csv", "--trace", "trace.csv"],
+                     ["fit.csv", "trace.csv"], ENGINE),
+        "validate": (["validate", "--games", "20", "--seed", "3", "--order", "5",
+                      "--out", "validation.csv"], ["validation.csv"],
+                     OUTCOME | {"--no-draw-override"}),
+        "simulate": (["simulate", "--players", "6", "--periods", "2", "--games-per-period",
+                      "100", "--seed", "4", "--out-games", "sim.csv",
+                      "--out-strengths", "strengths.csv"], ["sim.csv", "strengths.csv"],
+                     OUTCOME | {"--tau"}),
+    }
+
+    def test_the_commands_are_those_of_the_parser(self):
+        commands = next(action.choices for action in cli.build_parser()._actions
+                        if action.dest == "command")
+        assert set(commands) == set(self.COMMANDS)
+
+    @pytest.mark.parametrize("flag", sorted(VALUES))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_flag_is_read_or_refused(self, flag_inputs, tmp_path, capsys, command, flag):
+        argv, outputs, accepted = self.COMMANDS[command]
+        for name in os.listdir(flag_inputs):
+            os.symlink(flag_inputs / name, tmp_path / name)
+        argv = [str(tmp_path / a) if a.endswith((".csv", ".snapshot")) else a for a in argv]
+
+        def outputs_of(extra):
+            assert cli.main(argv + extra) == cli.EXIT_OK
+            return [(tmp_path / name).read_bytes() for name in outputs]
+
+        if flag in accepted:
+            assert outputs_of([]) != outputs_of([flag, *self.VALUES[flag]])
+        else:
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(argv + [flag, *self.VALUES[flag]])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestExitCodes:

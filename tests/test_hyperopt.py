@@ -171,6 +171,16 @@ class TestEvaluateHyperparameters:
         assert ev.games_evaluated == 1
 
 
+def test_the_trace_holds_the_hyperparameters_in_field_order():
+    """Every hyperparameter distinct: a field moved in the dataclass moves a
+    column of the trace."""
+    trace = hyperopt.TraceRecorder()
+    trace.record(Hyperparameters(alpha0=0.125, alpha1=-0.25, beta0=0.875, beta1=0.375,
+                                 tau=0.3125), -12.5)
+    assert trace.to_delimited() == ("evaluation,alpha0,alpha1,beta0,beta1,tau,objective\n"
+                                     "0,0.125,-0.25,0.875,0.375,0.3125,-12.5\n")
+
+
 class TestVectorMapping:
     def test_round_trip_fixed_alpha(self):
         h = Hyperparameters(beta0=0.4, beta1=0.6, tau=0.3)

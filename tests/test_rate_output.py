@@ -1,8 +1,11 @@
 """``drawrating rate``'s outputs against a plain reference writer, its refusal
-of values beyond the Elo scale, its memory, and mutated games files."""
+of values beyond the Elo scale, its memory, and mutated input files."""
 
 import contextlib
+import csv
+import functools
 import io
+import math
 import os
 import sys
 import tempfile
@@ -237,17 +240,19 @@ def test_peak_memory_of_one_command(fresh_python):
 
 _BASE_GAMES = ("period,white,black,result\n2,anna,bert,1\n2,cara,anna,0.5\n"
                "2,bert,dora,D\n2,dora,cara,L\n2,anna,dora,0\n")
-_GAMES_JUNK = st.one_of(
+_BASE_FIXTURES = "white,black\nanna,bert\ncara,anna\nbert,dora\ndora,cara\n"
+_BASE_RATINGS = "player,elo\nanna,1900\nbert,1750\ncara,1600\n"
+_JUNK = st.one_of(
     st.text(alphabet='x9-.,"\r\n\0 é١_', min_size=1, max_size=6),
     st.sampled_from(["3", "1", "0", "-2", "1_0", "9" * 40, "nan", "1e999", "0.5", "W"]))
 
 
 @st.composite
-def _mutated_games(draw):
-    """The bytes of a games file for period 2 that may be cut short, have a
+def _mutated(draw, base):
+    """The bytes of the input file ``base`` that may be cut short, have a
     field replaced, dropped or added, a line repeated or removed, or junk
     bytes (possibly not UTF-8) spliced in."""
-    lines = _BASE_GAMES.split("\n")
+    lines = base.split("\n")
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["field", "line", "bytes"]))
         at = draw(st.integers(0, len(lines) - 1))
@@ -256,11 +261,11 @@ def _mutated_games(draw):
             k = draw(st.integers(0, len(fields) - 1))
             edit = draw(st.sampled_from(["replace", "drop", "add"]))
             if edit == "replace":
-                fields[k] = draw(_GAMES_JUNK)
+                fields[k] = draw(_JUNK)
             elif edit == "drop":
                 del fields[k]
             else:
-                fields.insert(k, draw(_GAMES_JUNK))
+                fields.insert(k, draw(_JUNK))
             lines[at] = ",".join(fields)
         elif kind == "line":
             if draw(st.booleans()):
@@ -269,7 +274,7 @@ def _mutated_games(draw):
                 del lines[at]
                 lines = lines or [""]
         else:
-            lines[at] += draw(_GAMES_JUNK)
+            lines[at] += draw(_JUNK)
     data = "\n".join(lines).encode()
     if draw(st.booleans()):
         cut = draw(st.integers(0, len(data)))
@@ -277,49 +282,94 @@ def _mutated_games(draw):
     return data[:draw(st.integers(0, len(data)))] if draw(st.booleans()) else data
 
 
-class TestMutatedGamesFiles:
-    """``rate`` on a games file that is mutated or cut short exits 0, 1 or 2
-    with at most one ``error:`` line (the last) and no traceback, leaves no
-    partial file and changes no existing output unless it succeeds."""
+class TestMutatedInputFiles:
+    """``rate`` on a games file, ``predict`` on a fixtures file and
+    ``optimize`` on a ratings file that is mutated or cut short exit 0, 1 or 2
+    with at most one ``error:`` line (the last) and no traceback, leave no
+    partial file and change no existing output unless they succeed; but
+    ``optimize`` writes its table (``converged,0``) and trace also when no
+    start improves, and exits 1."""
 
-    @given(_mutated_games(), st.booleans())
+    # per input file: the command, with "input.csv" in the file's place, and its outputs
+    COMMANDS = {
+        "games": (["rate", "--games", "input.csv", "--out-snapshot", "out.snapshot",
+                   "--report", "report.csv"], ("out.snapshot", "report.csv")),
+        "fixtures": (["predict", "--snapshot", "in.snapshot", "--fixtures", "input.csv",
+                      "--out", "predictions.csv"], ("predictions.csv",)),
+        "ratings": (["optimize", "--games", "games.csv", "--train-until", "1",
+                     "--ratings", "input.csv", "--out", "fit.csv", "--trace", "trace.csv"],
+                    ("fit.csv", "trace.csv")),
+    }
+
+    @given(_mutated(_BASE_GAMES), st.booleans())
     @example(b"period,white,black,result\n2,anna,bert,1\n2,anna", True)
     @example(b"period,white,black,result\n2,anna,bert,1\n\xff,bert,anna,1\n", True)
     @example(b"period,white,black,result\n1,anna,bert,1\n", False)
     @example(b'period,white,black,result\n2,"anna,bert,1\n', True)
     @settings(max_examples=200, deadline=None)
-    def test_ends_cleanly(self, data, with_snapshot):
+    def test_games_file(self, data, with_snapshot):
+        self.ends_cleanly("games", data, ["--snapshot", "in.snapshot"] if with_snapshot else [])
+
+    @given(_mutated(_BASE_FIXTURES))
+    @settings(max_examples=100, deadline=None)
+    def test_fixtures_file(self, data):
+        self.ends_cleanly("fixtures", data)
+
+    # each run fits the hyperparameters, in about a quarter of a second
+    @given(_mutated(_BASE_RATINGS))
+    @settings(max_examples=20, deadline=None)
+    def test_ratings_file(self, data):
+        self.ends_cleanly("ratings", data)
+
+    def ends_cleanly(self, kind, data, flags=()):
+        argv, outputs = self.COMMANDS[kind]
         with tempfile.TemporaryDirectory() as tmp:
-            paths = {name: os.path.join(tmp, name)
-                     for name in ("in.snapshot", "games.csv", "out.snapshot", "report.csv")}
+            path = functools.partial(os.path.join, tmp)
             store.write_snapshot_file(store.RatingSnapshot(
                 2, [("anna", 0.5, 0.4, 3), ("bert", 1.0, 0.6, 5), ("cara", -0.2, 0.691, 0)],
-                model.DEFAULT_HYPERPARAMETERS, EngineConfig()), paths["in.snapshot"])
-            with open(paths["games.csv"], "wb") as fh:
+                model.DEFAULT_HYPERPARAMETERS, EngineConfig()), path("in.snapshot"))
+            with open(path("games.csv"), "w", encoding="utf-8") as fh:
+                fh.write("1,anna,bert,1\n1,bert,cara,0.5\n1,cara,dora,0\n"
+                         "2,anna,cara,1\n2,dora,anna,0.5\n2,cara,bert,1\n")
+            with open(path("input.csv"), "wb") as fh:
                 fh.write(data)
             older = {}
-            for name in ("out.snapshot", "report.csv"):
+            for name in outputs:
                 older[name] = f"an older {name}\n"
-                with open(paths[name], "w", encoding="utf-8") as fh:
+                with open(path(name), "w", encoding="utf-8") as fh:
                     fh.write(older[name])
-            argv = ["rate", "--games", paths["games.csv"], "--out-snapshot",
-                    paths["out.snapshot"], "--report", paths["report.csv"]]
-            argv += ["--snapshot", paths["in.snapshot"]] if with_snapshot else []
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(argv)
+                code = cli.main([path(a) if a.endswith((".csv", ".snapshot")) else a
+                                 for a in [*argv, *flags]])
             lines = err.getvalue().splitlines()
             errors = [line for line in lines if line.startswith("error:")]
             assert "Traceback" not in err.getvalue()
             assert not [n for n in os.listdir(tmp) if n.startswith(".partial-")]
+            changed = set()
+            for name, content in older.items():
+                with open(path(name), encoding="utf-8") as fh:
+                    if fh.read() != content:
+                        changed.add(name)
             if code == cli.EXIT_OK:
                 assert errors == []
-                snapshot = store.read_snapshot_file(paths["out.snapshot"])
-                with open(paths["report.csv"], encoding="utf-8") as fh:
-                    assert sum(1 for _ in fh) == 1 + len(snapshot.entries)
             else:
                 assert code in (cli.EXIT_INPUT_ERROR, cli.EXIT_DEGENERATE), lines
                 assert errors == lines[-1:], lines
-                for name, content in older.items():
-                    with open(paths[name], encoding="utf-8") as fh:
-                        assert fh.read() == content
+            if code != cli.EXIT_OK and not (kind == "ratings" and changed):
+                assert not changed
+                return
+            assert changed == set(outputs)
+            with open(path(outputs[0]), newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            if kind == "games":
+                snapshot = store.read_snapshot_file(path("out.snapshot"))
+                with open(path("report.csv"), encoding="utf-8") as fh:
+                    assert sum(1 for _ in fh) == 1 + len(snapshot.entries)
+            elif kind == "fixtures":
+                assert rows[0] == ["white", "black", "p_win", "p_draw", "p_loss",
+                                   "p_win_decisive"]
+                assert all(len(row) == 6 and math.isclose(sum(map(float, row[2:5])), 1.0)
+                           for row in rows[1:])
+            else:
+                assert dict(rows[1:])["converged"] == str(int(code == cli.EXIT_OK))

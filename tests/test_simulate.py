@@ -232,7 +232,7 @@ class TestInitialRatings:
     def test_noise_scale(self):
         cfg = LeagueConfig(players=3000, periods=1, games_per_period=10, seed=14)
         league = simulate.simulate_league(cfg, H2)
-        ratings = simulate.initial_ratings(league, noise_sd_elo=100.0)
+        ratings = simulate.initial_ratings(league)
         truth = model.ELO_CENTER + model.ELO_SCALE * league.true_strengths[:, 0]
         errors = np.array([r for _, r in ratings]) - truth
         assert errors.std() == pytest.approx(100.0, rel=0.1)

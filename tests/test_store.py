@@ -224,7 +224,25 @@ class TestSnapshotRoundTrip:
         store.write_snapshot_file(_snapshot(), path)
         loaded = store.read_snapshot_file(path)
         assert loaded.entries == _snapshot().entries
-        assert not [f for f in os.listdir(tmp_path) if f.startswith(".snapshot-")]
+        assert not [f for f in os.listdir(tmp_path) if f.startswith(".partial-")]
+
+    def test_the_settings_lines_hold_the_fields_in_order(self):
+        """Every hyperparameter and config value distinct, the override off:
+        a field moved in either dataclass moves a value on its line."""
+        snap = RatingSnapshot(
+            3, [("anna", 0.5, 0.4, 2)],
+            Hyperparameters(alpha0=0.125, alpha1=-0.25, beta0=0.875, beta1=0.375, tau=0.3125),
+            EngineConfig(sigma_cap=0.625, draw_score_override=False, default_prior_elo=1650.0,
+                         default_prior_sd_elo=210.0, rated_prior_sd_elo=95.0),
+        )
+        buf = io.StringIO()
+        store.save_snapshot(snap, buf)
+        assert buf.getvalue().split("\n")[2:4] == [
+            "hyperparameters 0.125 -0.25 0.875 0.375 0.3125",
+            "config 0.625 0 1650.0 210.0 95.0",
+        ]
+        buf.seek(0)
+        assert store.load_snapshot(buf) == snap
 
     def test_serialization_is_deterministic(self):
         a, b = io.StringIO(), io.StringIO()
